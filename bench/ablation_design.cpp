@@ -74,7 +74,7 @@ migration::MigrationMetrics run_pressured_agile(
   std::uint64_t before = ycsb->ops_total();
   ycsb->set_active_bytes(quick ? 1_GiB : 3_GiB);
   bed.cluster().run_for_seconds(30);
-  bench::record_run(bed.cluster().simulation().events_executed());
+  bench::record_run(bed.cluster().events_executed_total());
   if (!mig->completed()) bench::record_incomplete_run();
   migration::MigrationMetrics m = mig->metrics();
   // Smuggle the post-widen throughput out via a copy (cold-read throughput).
@@ -96,7 +96,7 @@ migration::MigrationMetrics run_single_vm_pressured(Technique technique) {
   scen::SingleVm sc = scen::make_single_vm(opt);
   sc.prepare();
   sc.run_migration();
-  bench::record_run(sc.bed->cluster().simulation().events_executed());
+  bench::record_run(sc.bed->cluster().events_executed_total());
   if (!sc.migration->completed()) bench::record_incomplete_run();
   return sc.migration->metrics();
 }

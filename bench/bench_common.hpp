@@ -117,7 +117,8 @@ inline SweepStats& sweep_stats() {
   return stats;
 }
 
-/// Records one freshly executed simulation and the events it ran.
+/// Records one freshly executed simulation and the events it ran
+/// (coordinator plus lane events: `Cluster::events_executed_total`).
 inline void record_run(std::uint64_t events_executed) {
   sweep_stats().runs_executed.fetch_add(1, std::memory_order_relaxed);
   sweep_stats().sim_events.fetch_add(events_executed,

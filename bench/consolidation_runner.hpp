@@ -61,7 +61,7 @@ inline ConsolidationRun run_consolidation_uncached(
     sc.bed->cluster().run_for_seconds(5);
   }
 
-  record_run(sc.bed->cluster().simulation().events_executed());
+  record_run(sc.bed->cluster().events_executed_total());
   ConsolidationRun result;
   result.migration = sc.migration->metrics();
   result.avg_perf = sc.average_throughput().mean_between(t_mig, t_mig + window_s);

@@ -28,7 +28,7 @@ int main() {
   sc.controller->start();
   const double horizon = quick ? 300 : 900;
   sc.bed->cluster().run_for_seconds(horizon - lead_in);
-  bench::record_run(sc.bed->cluster().simulation().events_executed());
+  bench::record_run(sc.bed->cluster().events_executed_total());
 
   const metrics::TimeSeries& tput = sc.probe->series();
   double baseline = tput.mean_between(5, lead_in);

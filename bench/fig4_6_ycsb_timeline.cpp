@@ -43,7 +43,7 @@ RunResult run_technique(Technique technique, double horizon_s,
                    bench::quick_mode() ? sec(5) : sec(50));
   sc.schedule_migration(migrate_at);
   sc.bed->cluster().run_for_seconds(horizon_s);
-  bench::record_run(sc.bed->cluster().simulation().events_executed());
+  bench::record_run(sc.bed->cluster().events_executed_total());
   if (!sc.migration->completed()) bench::record_incomplete_run();
 
   RunResult r;

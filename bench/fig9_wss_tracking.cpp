@@ -25,7 +25,7 @@ int main() {
 
   const double horizon = quick ? 300 : 900;
   sc.bed->cluster().run_for_seconds(horizon);
-  bench::record_run(sc.bed->cluster().simulation().events_executed());
+  bench::record_run(sc.bed->cluster().events_executed_total());
 
   const metrics::TimeSeries& res = sc.controller->reservation_series();
   const metrics::TimeSeries& rate = sc.controller->swap_rate_series();

@@ -50,7 +50,7 @@ FleetRun run_fleet(core::Technique technique) {
   fleet.orchestrator->start();
   fleet.bed->cluster().run_for_seconds(bench::quick_mode() ? 400 : 500);
   fleet.orchestrator->stop();
-  bench::record_run(fleet.bed->cluster().simulation().events_executed());
+  bench::record_run(fleet.bed->cluster().events_executed_total());
   if (fleet.registry != nullptr) {
     bench::write_run_stats(*fleet.registry,
                            std::string("fleet_") +

@@ -31,7 +31,7 @@ struct ScaleResult {
   std::uint32_t hosts = 0;
   std::uint32_t lanes = 0;
   double wall_s = 0;
-  std::uint64_t events = 0;  ///< Coordinator events (lane-count independent).
+  std::uint64_t events = 0;  ///< Coordinator + lane events (lane-invariant).
   double events_per_sec = 0;
   double speedup = 1.0;      ///< vs the lanes=1 point of the same fleet.
   std::string digest;        ///< Simulation-derived; must match across lanes.
@@ -72,7 +72,7 @@ ScaleResult run_point(std::uint32_t hosts, std::uint32_t lanes) {
   r.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                            wall_start)
                  .count();
-  r.events = fleet.bed->cluster().simulation().events_executed();
+  r.events = fleet.bed->cluster().events_executed_total();
   r.events_per_sec =
       r.wall_s > 0 ? static_cast<double>(r.events) / r.wall_s : 0;
   bench::record_run(r.events);
@@ -85,15 +85,14 @@ ScaleResult run_point(std::uint32_t hosts, std::uint32_t lanes) {
     if (m->completed()) ++completed;
     wire += m->metrics().bytes_transferred;
   }
-  // No event counts in the digest: host-bound one-shots live on the sim heap
-  // at lanes=1 but in the lane mailbox at lanes>1, so the counters are not
-  // comparable across lane counts (the speedup column uses wall ratios).
   char buf[256];
   std::snprintf(buf, sizeof(buf),
-                "hosts=%u now=%lld ops=%llu migs=%zu done=%zu wire=%llu",
+                "hosts=%u now=%lld events=%llu ops=%llu migs=%zu done=%zu "
+                "wire=%llu",
                 hosts,
                 static_cast<long long>(
                     fleet.bed->cluster().simulation().now()),
+                static_cast<unsigned long long>(r.events),
                 static_cast<unsigned long long>(ops),
                 fleet.orchestrator->migrations_launched(), completed,
                 static_cast<unsigned long long>(wire));

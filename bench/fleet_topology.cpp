@@ -117,7 +117,7 @@ TopoRun run_mode(const Mode& mode) {
   }
   fleet.rebalancer->stop();
   fleet.orchestrator->stop();
-  bench::record_run(fleet.bed->cluster().simulation().events_executed());
+  bench::record_run(fleet.bed->cluster().events_executed_total());
   if (fleet.registry != nullptr) {
     bench::write_run_stats(*fleet.registry, std::string("topo_") + mode.name,
                            fleet.bed->cluster().simulation().now());

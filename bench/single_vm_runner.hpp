@@ -32,7 +32,7 @@ inline CachedRun run_single_vm(core::Technique technique, Bytes vm_memory,
     core::scenarios::SingleVm sc = core::scenarios::make_single_vm(opt);
     sc.prepare();
     sc.run_migration();
-    record_run(sc.bed->cluster().simulation().events_executed());
+    record_run(sc.bed->cluster().events_executed_total());
     if (!sc.migration->metrics().completed) record_incomplete_run();
     if (sc.session != nullptr) {
       Status st = sc.session->recorder().write_chrome_json(trace_stem() + "." +

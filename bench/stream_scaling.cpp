@@ -63,7 +63,7 @@ bench::CachedRun run_point(const Point& pt) {
     core::scenarios::SingleVm sc = core::scenarios::make_single_vm(opt);
     sc.prepare();
     sc.run_migration();
-    bench::record_run(sc.bed->cluster().simulation().events_executed());
+    bench::record_run(sc.bed->cluster().events_executed_total());
     if (!sc.migration->metrics().completed) bench::record_incomplete_run();
     if (sc.session != nullptr) {
       Status st = sc.session->recorder().write_chrome_json(

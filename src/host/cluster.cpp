@@ -35,37 +35,34 @@ std::uint32_t resolve_lane_count(std::uint32_t configured) {
 
 Cluster::Cluster(ClusterConfig config)
     : config_(config), net_(config.network),
-      lane_count_(resolve_lane_count(config.lanes)) {
+      lane_count_(resolve_lane_count(config.lanes)),
+      lane_pool_(lane_count_ > 1
+                     ? std::make_unique<util::ThreadPool>(lane_count_ - 1)
+                     : nullptr),
+      lanes_({lane_count_, lane_pool_.get()}) {
   AGILE_CHECK(config_.quantum > 0);
   g_active_sim = &sim_;
   log::set_time_source(&active_sim_now);
   trace::set_time_source(&active_sim_now);
-  if (lane_count_ > 1) {
-    lane_pool_ = std::make_unique<util::ThreadPool>(lane_count_ - 1);
-    sim::LaneCoordinator::Config lane_cfg;
-    lane_cfg.lanes = lane_count_;
-    lane_cfg.pool = lane_pool_.get();
-    lanes_ = std::make_unique<sim::LaneCoordinator>(lane_cfg);
-    // Lane threads need this cluster's clock for log/trace stamps. The time
-    // sources are thread-local, so pool workers start with none installed —
-    // without this hook their trace events would all stamp ts=0. Restore
-    // whatever the thread had (the coordinator thread runs one lane inline
-    // and already carries this cluster's source).
-    lanes_->set_thread_hooks(
-        [this](std::size_t) {
-          g_saved_sim = g_active_sim;
-          g_active_sim = &sim_;
-          log::set_time_source(&active_sim_now);
-          trace::set_time_source(&active_sim_now);
-        },
-        [](std::size_t) {
-          g_active_sim = g_saved_sim;
-          if (g_saved_sim == nullptr) {
-            log::set_time_source(nullptr);
-            trace::set_time_source(nullptr);
-          }
-        });
-  }
+  // Lane threads need this cluster's clock for log/trace stamps. The time
+  // sources are thread-local, so pool workers start with none installed —
+  // without this hook their trace events would all stamp ts=0. Restore
+  // whatever the thread had (the coordinator thread runs one lane inline
+  // and already carries this cluster's source).
+  lanes_.set_thread_hooks(
+      [this](std::size_t) {
+        g_saved_sim = g_active_sim;
+        g_active_sim = &sim_;
+        log::set_time_source(&active_sim_now);
+        trace::set_time_source(&active_sim_now);
+      },
+      [](std::size_t) {
+        g_active_sim = g_saved_sim;
+        if (g_saved_sim == nullptr) {
+          log::set_time_source(nullptr);
+          trace::set_time_source(nullptr);
+        }
+      });
   quantum_task_ = sim_.schedule_periodic(
       config_.quantum, [this](SimTime now) { quantum(now); });
 }
@@ -81,17 +78,13 @@ Cluster::~Cluster() {
 
 Host* Cluster::add_host(HostConfig config) {
   hosts_.push_back(std::make_unique<Host>(&net_, std::move(config)));
-  if (lanes_) lanes_->ensure_channels(hosts_.size());
+  lanes_.ensure_channels(hosts_.size());
   return hosts_.back().get();
 }
 
 void Cluster::schedule_on_host(std::size_t host, SimTime t, sim::EventFn fn) {
   AGILE_CHECK(host < hosts_.size());
-  if (!lanes_) {
-    sim_.schedule_at(t, std::move(fn));
-    return;
-  }
-  lanes_->post(host, t, std::move(fn));
+  lanes_.post(host, t, std::move(fn));
 }
 
 vm::VirtualMachine* Cluster::adopt_vm(
@@ -127,42 +120,38 @@ void Cluster::remove_hook(std::uint64_t id) {
 }
 
 void Cluster::parallel_phase(SimTime now,
-                             const std::function<void(Host&)>& phase) {
+                             const std::function<void(std::size_t)>& phase) {
   // One lane event per host: the (time, channel, seq) merge contract then
-  // reproduces the sequential host-index iteration order exactly, for the
-  // phase work and for any trace events it records.
+  // reproduces the host-index iteration order exactly, for the phase work
+  // and for any trace events it records. The two-word capture stays inside
+  // std::function's inline buffer: no allocation per host and quantum.
   for (std::size_t h = 0; h < hosts_.size(); ++h) {
-    Host* host = hosts_[h].get();
-    lanes_->schedule(h, now, [&phase, host] { phase(*host); });
+    lanes_.schedule(h, now, [&phase, h] { phase(h); });
   }
-  lanes_->advance_to(now);
+  lanes_.advance_to(now);
 }
 
 void Cluster::install_lane_plan() {
-  lanes_->ensure_channels(hosts_.size());
-  lanes_->set_plan(lane_planner_
-                       ? lane_planner_(hosts_.size(), lane_count_)
-                       : [&] {
-                           std::vector<std::uint32_t> plan(hosts_.size());
-                           for (std::size_t i = 0; i < plan.size(); ++i) {
-                             plan[i] = static_cast<std::uint32_t>(
-                                 i % lane_count_);
-                           }
-                           return plan;
-                         }());
+  lanes_.set_plan(lane_planner_
+                      ? lane_planner_(hosts_.size(), lane_count_)
+                      : [&] {
+                          std::vector<std::uint32_t> plan(hosts_.size());
+                          for (std::size_t i = 0; i < plan.size(); ++i) {
+                            plan[i] = static_cast<std::uint32_t>(
+                                i % lane_count_);
+                          }
+                          return plan;
+                        }());
 }
 
 void Cluster::quantum(SimTime now) {
   ++tick_index_;
   const SimTime dt = config_.quantum;
-  if (lanes_) install_lane_plan();
+  install_lane_plan();
   const std::uint32_t tick = tick_index_;
-  if (lanes_) {
-    parallel_phase(now,
-                   [dt, tick](Host& h) { h.run_workloads(dt, tick); });
-  } else {
-    for (auto& h : hosts_) h->run_workloads(dt, tick_index_);
-  }
+  parallel_phase(now, [this, dt, tick](std::size_t h) {
+    hosts_[h]->run_workloads(dt, tick);
+  });
   // Hooks may unregister themselves (or others) while running; iterate over
   // a snapshot of ids and re-check liveness.
   auto run_hooks = [&](std::vector<HookEntry>& hooks) {
@@ -176,30 +165,20 @@ void Cluster::quantum(SimTime now) {
     }
   };
   run_hooks(control_hooks_);
-  if (lanes_) {
-    parallel_phase(now, [dt](Host& h) { h.run_maintenance(dt); });
-  } else {
-    for (auto& h : hosts_) h->run_maintenance(dt);
-  }
+  parallel_phase(now,
+                 [this, dt](std::size_t h) { hosts_[h]->run_maintenance(dt); });
   net_.advance(dt);
   run_hooks(observer_hooks_);
 }
 
 void Cluster::scrape(SimTime now, const ScrapePerHost& per_host,
                      const ScrapeFinalize& finalize) {
-  if (lanes_) {
-    // The scrape may fire between quanta (interval not a multiple of the
-    // quantum) or before the first one, so install the plan itself rather
-    // than relying on the last quantum's.
-    install_lane_plan();
-    for (std::size_t h = 0; h < hosts_.size(); ++h) {
-      Host* host = hosts_[h].get();
-      lanes_->schedule(h, now, [&per_host, h, host] { per_host(h, *host); });
-    }
-    lanes_->advance_to(now);
-  } else {
-    for (std::size_t h = 0; h < hosts_.size(); ++h) per_host(h, *hosts_[h]);
-  }
+  // The scrape may fire between quanta (interval not a multiple of the
+  // quantum) or before the first one, so install the plan itself rather
+  // than relying on the last quantum's.
+  install_lane_plan();
+  parallel_phase(now,
+                 [this, &per_host](std::size_t h) { per_host(h, *hosts_[h]); });
   if (finalize) finalize(now);
 }
 
@@ -214,26 +193,22 @@ std::shared_ptr<sim::PeriodicTask> Cluster::start_scrape(
 }
 
 void Cluster::run_until(SimTime t) {
-  if (!lanes_) {
-    sim_.run_until(t);
-    return;
-  }
-  // Lane-aware driver: between coordinator events, open a lane window up to
+  // Horizon loop: between coordinator events, open a lane window up to
   // the next coordinator event time (the conservative lookahead horizon —
   // cross-host effects only materialize at coordinator events, i.e. network
   // quantum edges). Lane events sharing a coordinator event's timestamp run
-  // before it, mirroring the sequential heap order for host-bound one-shots
-  // scheduled ahead of time.
+  // before it, so host-bound one-shots scheduled ahead of time precede the
+  // quantum they share a timestamp with.
   AGILE_CHECK(t >= sim_.now());
   sim_.clear_stop();
   while (!sim_.stopped()) {
     SimTime next = sim_.next_event_time();
     if (next < 0 || next > t) break;
-    lanes_->advance_to(next);
+    lanes_.advance_to(next);
     if (!sim_.step()) break;
   }
   if (!sim_.stopped()) {
-    lanes_->advance_to(t);
+    lanes_.advance_to(t);
     sim_.run_until(t);
   }
 }

@@ -28,9 +28,10 @@ struct ClusterConfig {
   SimTime quantum = msec(100);
   std::uint64_t seed = 42;
   net::NetworkConfig network;
-  /// Parallel event lanes for per-host quantum phases (workload execution,
-  /// maintenance) and host-bound one-shots. 0 reads AGILE_SIM_LANES from the
-  /// environment (default 1); 1 keeps today's sequential loop byte-for-byte.
+  /// Event lanes for per-host quantum phases (workload execution,
+  /// maintenance, scrapes) and host-bound one-shots. 0 reads AGILE_SIM_LANES
+  /// from the environment (default 1). Every count runs the same lane
+  /// coordinator; 1 is a one-lane plan executed inline, with no thread pool.
   /// Output is byte-identical at any lane count — see sim/lanes.hpp for the
   /// determinism contract and DESIGN.md for why it holds here.
   std::uint32_t lanes = 0;
@@ -50,13 +51,10 @@ class Cluster {
 
   /// Resolved lane count (config override or AGILE_SIM_LANES, floored at 1).
   std::uint32_t lane_count() const { return lane_count_; }
-  /// Lane coordinator, or null when running sequentially (lanes == 1).
-  sim::LaneCoordinator* lanes() { return lanes_.get(); }
 
-  /// One-shot bound to a host: with lanes it runs on the host's lane (cross
-  /// -lane sends ride the mailbox), sequentially on the global heap. Either
-  /// way it executes *before* any coordinator event (quantum, probe) sharing
-  /// its timestamp — schedule host-bound work accordingly.
+  /// One-shot bound to a host: it runs on the host's lane (cross-lane sends
+  /// ride the mailbox) and executes *before* any coordinator event (quantum,
+  /// probe) sharing its timestamp — schedule host-bound work accordingly.
   void schedule_on_host(std::size_t host, SimTime t, sim::EventFn fn);
 
   /// Deterministic host→lane affinity plan, recomputed at each quantum.
@@ -71,8 +69,7 @@ class Cluster {
 
   /// Events executed across the coordinator heap and all lanes.
   std::uint64_t events_executed_total() const {
-    return sim_.events_executed() +
-           (lanes_ ? lanes_->events_executed() : 0);
+    return sim_.events_executed() + lanes_.events_executed();
   }
 
   /// Quantum index (the LRU clock ticks once per quantum).
@@ -130,11 +127,13 @@ class Cluster {
 
  private:
   void quantum(SimTime now);
-  /// Fans a per-host phase across the lanes and barriers at `now`.
-  void parallel_phase(SimTime now, const std::function<void(Host&)>& phase);
+  /// Fans a per-host phase (called with the host index) across the lanes
+  /// and barriers at `now`.
+  void parallel_phase(SimTime now,
+                      const std::function<void(std::size_t)>& phase);
   /// Installs the current host→lane plan (planner or round-robin).
   void install_lane_plan();
-  /// One scrape: per-host fan-out (lanes or sequential) + finalize.
+  /// One scrape: per-host lane fan-out + finalize.
   void scrape(SimTime now, const ScrapePerHost& per_host,
               const ScrapeFinalize& finalize);
 
@@ -147,8 +146,8 @@ class Cluster {
   sim::Simulation sim_;
   net::Network net_;
   std::uint32_t lane_count_ = 1;
-  std::unique_ptr<util::ThreadPool> lane_pool_;
-  std::unique_ptr<sim::LaneCoordinator> lanes_;
+  std::unique_ptr<util::ThreadPool> lane_pool_;  ///< Null at one lane.
+  sim::LaneCoordinator lanes_;
   LanePlanner lane_planner_;
   std::uint32_t tick_index_ = 0;
   std::uint64_t next_hook_id_ = 1;

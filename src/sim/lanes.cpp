@@ -212,88 +212,70 @@ void LaneCoordinator::advance_to(SimTime horizon) {
                   "lane horizon must not move backwards");
   AGILE_CHECK_MSG(window_horizon_ < 0, "advance_to() is not reentrant");
 
-  bool any_due = false;
-  for (const Channel& ch : channels_) {
-    if (!ch.heap.empty() && ch.heap.front().time <= horizon) {
-      any_due = true;
-      break;
+  // Assign channels by plan and collect the lanes with due work.
+  for (LaneRun& run : lane_runs_) run.channels.clear();
+  for (std::size_t c = 0; c < channels_.size(); ++c) {
+    lane_runs_[channels_[c].lane].channels.push_back(c);
+  }
+  std::vector<std::size_t> busy;
+  for (std::size_t lane = 0; lane < lanes_; ++lane) {
+    for (std::size_t c : lane_runs_[lane].channels) {
+      const Channel& ch = channels_[c];
+      if (!ch.heap.empty() && ch.heap.front().time <= horizon) {
+        busy.push_back(lane);
+        break;
+      }
     }
   }
-  if (!any_due) {
+  if (busy.empty()) {
     barrier_time_ = horizon;
     return;
   }
 
   window_horizon_ = horizon;
   for (LaneRun& run : lane_runs_) {
-    run.channels.clear();
     run.segments.clear();
     run.executed = 0;
     if (run.recorder) run.recorder->clear();
   }
+  // One busy lane's (time, channel, seq) batch already is the merged order,
+  // so its effects go straight to the main recorder; only concurrent lanes
+  // buffer theirs for the ordered merge below.
+  trace::TraceRecorder* main_recorder = trace::recorder();
+  const bool buffer = main_recorder != nullptr && busy.size() > 1;
 
-  const bool parallel = lanes_ > 1 && pool_ != nullptr;
-  if (!parallel) {
-    // Sequential fallback: one merged pass over every channel — the merge
-    // loop *is* the (time, channel, seq) contract, with effects applied
-    // directly (no buffering).
-    LaneRun& run = lane_runs_[0];
-    for (std::size_t c = 0; c < channels_.size(); ++c) {
-      run.channels.push_back(c);
-    }
-    run_lane(0, horizon, /*buffer_effects=*/false);
-  } else {
-    for (std::size_t c = 0; c < channels_.size(); ++c) {
-      lane_runs_[channels_[c].lane].channels.push_back(c);
-    }
-    trace::TraceRecorder* main_recorder = trace::recorder();
-    const bool buffer = main_recorder != nullptr;
+  // Fork: the first busy lane runs inline on this thread, the rest on the
+  // pool. future::get() is the barrier (and the happens-before edge for
+  // every lane's effects).
+  std::vector<std::future<void>> joins;
+  joins.reserve(busy.size() - 1);
+  for (std::size_t i = 1; i < busy.size(); ++i) {
+    std::size_t lane = busy[i];
+    joins.push_back(pool_->submit(
+        [this, lane, horizon, buffer] { run_lane(lane, horizon, buffer); }));
+  }
+  run_lane(busy[0], horizon, buffer);
+  for (std::future<void>& j : joins) j.get();
 
-    // Fork: lanes with due work run concurrently — the first busy lane
-    // inline on this thread, the rest on the pool. future::get() is the
-    // barrier (and the happens-before edge for every lane's effects).
-    std::vector<std::size_t> busy;
-    for (std::size_t lane = 0; lane < lanes_; ++lane) {
-      bool has_due = false;
-      for (std::size_t c : lane_runs_[lane].channels) {
-        const Channel& ch = channels_[c];
-        if (!ch.heap.empty() && ch.heap.front().time <= horizon) {
-          has_due = true;
-          break;
-        }
-      }
-      if (has_due) busy.push_back(lane);
+  // Merge buffered trace effects in (time, channel, seq) order — exactly
+  // the order one lane running every channel would have recorded them in.
+  if (buffer) {
+    std::vector<TraceSegment> segments;
+    for (const LaneRun& run : lane_runs_) {
+      segments.insert(segments.end(), run.segments.begin(),
+                      run.segments.end());
     }
-    std::vector<std::future<void>> joins;
-    joins.reserve(busy.size());
-    for (std::size_t i = 1; i < busy.size(); ++i) {
-      std::size_t lane = busy[i];
-      joins.push_back(pool_->submit(
-          [this, lane, horizon, buffer] { run_lane(lane, horizon, buffer); }));
+    std::sort(segments.begin(), segments.end(),
+              [](const TraceSegment& a, const TraceSegment& b) {
+                return due_order(a.time, a.channel, a.seq, b.time, b.channel,
+                                 b.seq);
+              });
+    for (const TraceSegment& seg : segments) {
+      main_recorder->append_events(*lane_runs_[seg.lane].recorder, seg.begin,
+                                   seg.end);
     }
-    if (!busy.empty()) run_lane(busy[0], horizon, buffer);
-    for (std::future<void>& j : joins) j.get();
-
-    // Merge buffered trace effects in (time, channel, seq) order — exactly
-    // the order the sequential fallback would have recorded them in.
-    if (buffer) {
-      std::vector<TraceSegment> segments;
-      for (const LaneRun& run : lane_runs_) {
-        segments.insert(segments.end(), run.segments.begin(),
-                        run.segments.end());
-      }
-      std::sort(segments.begin(), segments.end(),
-                [](const TraceSegment& a, const TraceSegment& b) {
-                  return due_order(a.time, a.channel, a.seq, b.time, b.channel,
-                                   b.seq);
-                });
-      for (const TraceSegment& seg : segments) {
-        main_recorder->append_events(*lane_runs_[seg.lane].recorder, seg.begin,
-                                     seg.end);
-      }
-      for (const LaneRun& run : lane_runs_) {
-        if (run.recorder) main_recorder->merge_entity_names(*run.recorder);
-      }
+    for (const LaneRun& run : lane_runs_) {
+      if (run.recorder) main_recorder->merge_entity_names(*run.recorder);
     }
   }
 

@@ -12,22 +12,24 @@
 //
 // Determinism contract (what makes output byte-identical at any lane count):
 //  * Lane events execute, and their buffered effects merge, in
-//    (time, channel, seq) order — exactly the order the sequential fallback
-//    uses. `seq` is a per-channel monotonic counter.
+//    (time, channel, seq) order — exactly the order one lane running every
+//    channel uses. `seq` is a per-channel monotonic counter.
 //  * Cross-channel sends from inside a running lane event must go through
 //    `post` and carry a delivery time >= the window horizon (conservative
 //    lookahead; violating it aborts). Posts are drained at the barrier in
 //    (time, source-channel, per-source seq) order and only then inserted
 //    into the target channels, so insertion order — and therefore execution
 //    order next window — is independent of lane interleaving.
-//  * Trace events recorded during a window land in per-lane buffers and are
-//    re-emitted into the main recorder at the barrier, segment by segment in
-//    (time, channel, seq) order of the emitting event: byte-identical to the
-//    sequential recording order.
+//  * When more than one lane has due work, trace events recorded during the
+//    window land in per-lane buffers and are re-emitted into the main
+//    recorder at the barrier, segment by segment in (time, channel, seq)
+//    order of the emitting event: byte-identical to one lane's recording
+//    order.
 //
-// With `lanes == 1` (or no pool) everything runs inline on the calling
-// thread in the same (time, channel, seq) order, with no buffering — the
-// sequential fallback is literally the merge loop.
+// Every window takes the same path: assign channels by plan, run the first
+// busy lane inline on the calling thread and the rest on the pool. With one
+// busy lane — always the case with `lanes == 1`, which needs no pool — its
+// sorted batch already is the merged order, so nothing is buffered.
 #pragma once
 
 #include <cstdint>
@@ -80,9 +82,9 @@ class LaneCoordinator {
   /// order. From the coordinator between windows this is `schedule`.
   void post(std::size_t channel, SimTime t, EventFn fn);
 
-  /// Runs every lane event with time <= `horizon` (lanes in parallel when a
-  /// pool is configured), barriers, then drains the mailbox. `horizon` must
-  /// be monotonically non-decreasing across calls.
+  /// Runs every lane event with time <= `horizon` (busy lanes in parallel),
+  /// barriers, then drains the mailbox. `horizon` must be monotonically
+  /// non-decreasing across calls.
   void advance_to(SimTime horizon);
 
   /// Earliest pending lane event time over all channels, or -1 when idle.

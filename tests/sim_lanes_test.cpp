@@ -4,9 +4,10 @@
 // horizon handling at quantum edges, lane-count independence of per-channel
 // observables, and death tests for the two contract violations (conservative
 // lookahead and cross-lane scheduling). Integration level: a small fleet
-// scenario must produce byte-identical metrics digests *and* Chrome trace
-// JSON at lane counts 1, 2 and 3, and `Cluster::run_until` must behave when
-// the bound lands exactly on a barrier (quantum edge).
+// scenario must produce byte-identical metrics digests (executed-event count
+// included) *and* Chrome trace JSON at lane counts 1, 2 and 3, and
+// `Cluster::run_until` must behave when the bound lands exactly on a barrier
+// (quantum edge) at 1 and 2 lanes.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -193,37 +194,32 @@ TEST(LaneCoordinatorDeath, CrossLaneScheduleDies) {
 }
 
 TEST(ClusterLanes, RunUntilLandsExactlyOnQuantumEdge) {
-  host::ClusterConfig cfg;
-  cfg.lanes = 2;
-  host::Cluster cluster(cfg);
-  host::HostConfig h;
-  h.name = "h0";
-  cluster.add_host(h);
-  h.name = "h1";
-  cluster.add_host(h);
-  const SimTime q = cfg.quantum;
-  std::vector<int> fired;
-  cluster.schedule_on_host(0, q, [&] { fired.push_back(0); });
-  cluster.schedule_on_host(1, 2 * q, [&] { fired.push_back(1); });
-  cluster.run_until(q);  // bound == first barrier
-  EXPECT_EQ(cluster.simulation().now(), q);
-  EXPECT_EQ(fired, (std::vector<int>{0}));
-  cluster.run_until(3 * q);  // continues cleanly past the landing point
-  EXPECT_EQ(fired, (std::vector<int>{0, 1}));
-  EXPECT_EQ(cluster.simulation().now(), 3 * q);
-}
-
-TEST(ClusterLanes, ScheduleOnHostWithoutLanesFallsBackToHeap) {
-  host::ClusterConfig cfg;
-  cfg.lanes = 1;
-  host::Cluster cluster(cfg);
-  host::HostConfig h;
-  h.name = "h0";
-  cluster.add_host(h);
-  int fired = 0;
-  cluster.schedule_on_host(0, 50, [&] { ++fired; });
-  cluster.run_until(50);
-  EXPECT_EQ(fired, 1);
+  for (std::uint32_t lanes : {1u, 2u}) {
+    SCOPED_TRACE(lanes);
+    host::ClusterConfig cfg;
+    cfg.lanes = lanes;
+    host::Cluster cluster(cfg);
+    host::HostConfig h;
+    h.name = "h0";
+    cluster.add_host(h);
+    h.name = "h1";
+    cluster.add_host(h);
+    const SimTime q = cfg.quantum;
+    std::vector<int> fired;
+    cluster.schedule_on_host(0, q, [&] { fired.push_back(0); });
+    cluster.schedule_on_host(1, 2 * q, [&] { fired.push_back(1); });
+    cluster.run_until(q);  // bound == first barrier
+    EXPECT_EQ(cluster.simulation().now(), q);
+    EXPECT_EQ(fired, (std::vector<int>{0}));
+    cluster.run_until(3 * q);  // continues cleanly past the landing point
+    EXPECT_EQ(fired, (std::vector<int>{0, 1}));
+    EXPECT_EQ(cluster.simulation().now(), 3 * q);
+    // A bound between quanta: the one-shot due exactly there still runs.
+    cluster.schedule_on_host(0, 3 * q + 50, [&] { fired.push_back(2); });
+    cluster.run_until(3 * q + 50);
+    EXPECT_EQ(fired, (std::vector<int>{0, 1, 2}));
+    EXPECT_EQ(cluster.simulation().now(), 3 * q + 50);
+  }
 }
 
 /// One small fleet run at the given lane count: returns a metrics digest and
@@ -253,14 +249,13 @@ void fleet_fingerprint(std::uint32_t lanes, std::string* digest,
     if (m->completed()) ++completed;
     wire += m->metrics().bytes_transferred;
   }
-  // No event *counts* here: host-bound one-shots live on the sim heap at
-  // lanes=1 but in the lane mailbox at lanes>1, so neither counter is
-  // comparable across lane counts. Observables (clock, ops, migrations,
-  // bytes) and the full trace are.
   char buf[256];
   std::snprintf(
-      buf, sizeof(buf), "now=%lld ops=%llu migs=%zu done=%zu wire=%llu",
+      buf, sizeof(buf),
+      "now=%lld events=%llu ops=%llu migs=%zu done=%zu wire=%llu",
       static_cast<long long>(fleet.bed->cluster().simulation().now()),
+      static_cast<unsigned long long>(
+          fleet.bed->cluster().events_executed_total()),
       static_cast<unsigned long long>(ops),
       fleet.orchestrator->migrations_launched(), completed,
       static_cast<unsigned long long>(wire));

@@ -38,19 +38,10 @@ Rules (each finding carries its rule id):
                                documented at each member (network.hpp,
                                vmd.hpp, relaxed_cell.hpp).
 
-Frontends (--frontend=auto|tokens|libclang):
-
-  tokens    Self-contained deterministic token-level C++ frontend (comments,
-            strings, raw strings, preprocessor lines stripped; function
-            definitions, lambdas with capture lists and host-call context,
-            calls with receiver chains, thread_local declarations, member
-            declarations). Always available; the reference implementation.
-  libclang  Adds a clang.cindex AST pass over the CMake compilation database
-            that cross-validates the token model (function definitions,
-            thread_local variables, registry member types) against the real
-            AST and augments it with anything the tokens missed. Requires the
-            python clang bindings; `--frontend=libclang` exits 77 (SKIP)
-            without them, `auto` silently runs tokens-only.
+Frontend: a self-contained deterministic token-level C++ frontend (comments,
+strings, raw strings, preprocessor lines stripped; function definitions,
+lambdas with capture lists and host-call context, calls with receiver
+chains, thread_local declarations, member declarations).
 
 Known limits (accepted, documented): calls through std::function values and
 function pointers (e.g. &active_sim_now installed as a log time source by the
@@ -64,8 +55,7 @@ finding — unjustified or stale entries are hard errors (exit 2), so the list
 can only shrink unless someone writes down a reason.
 
 Exit codes: 0 clean, 1 unallowlisted findings, 2 configuration error
-(bad/stale allowlist, registry member not found), 77 requested frontend
-unavailable.
+(bad/stale allowlist, registry member not found).
 """
 
 from __future__ import annotations
@@ -75,7 +65,7 @@ import json
 import os
 import sys
 
-TOOL_VERSION = "1.0"
+TOOL_VERSION = "2.0"
 
 # Directories whose code is lane-rule-scoped (LL001-LL003). bench/ is
 # deliberately outside: each sweep task owns its entire Simulation, so the
@@ -695,9 +685,8 @@ class Model:
         return self.defs_by_name.get(call_name, ())
 
 
-def load_model(root, scan_files, extra_tl_names=()):
+def load_model(root, scan_files):
     GLOBAL_TL_NAMES.clear()
-    GLOBAL_TL_NAMES.update(extra_tl_names)
     pre = []
     for rel in scan_files:
         path = os.path.join(root, rel)
@@ -989,23 +978,12 @@ def apply_allowlist(findings, entries, errors, path):
 
 
 # ---------------------------------------------------------------------------
-# Compilation database + libclang cross-check
+# Scan set
 # ---------------------------------------------------------------------------
 
-def find_compdb(root, explicit):
-    if explicit:
-        return explicit if os.path.exists(explicit) else None
-    for d in sorted(os.listdir(root)):
-        cand = os.path.join(root, d, "compile_commands.json")
-        if d.startswith("build") and os.path.exists(cand):
-            return cand
-    return None
-
-
-def scan_file_list(root, compdb_path):
-    """Deterministic scan set: headers+sources under SCAN_DIRS, TU list
-    cross-checked against the compilation database when one exists."""
-    files = set()
+def scan_file_list(root):
+    """Deterministic scan set: headers+sources under SCAN_DIRS."""
+    files = []
     for d in SCAN_DIRS:
         base = os.path.join(root, d)
         if not os.path.isdir(base):
@@ -1014,91 +992,9 @@ def scan_file_list(root, compdb_path):
             dirnames.sort()
             for fn in sorted(filenames):
                 if fn.endswith((".cpp", ".hpp", ".h", ".cc")):
-                    files.add(os.path.relpath(os.path.join(dirpath, fn),
-                                              root))
-    if compdb_path:
-        try:
-            with open(compdb_path, "r", encoding="utf-8") as f:
-                for entry in json.load(f):
-                    rel = os.path.relpath(
-                        os.path.join(entry.get("directory", root),
-                                     entry["file"]), root)
-                    if any(rel.startswith(d + os.sep) or rel.startswith(d + "/")
-                           for d in SCAN_DIRS):
-                        files.add(rel)
-        except (OSError, ValueError, KeyError):
-            pass
+                    files.append(os.path.relpath(os.path.join(dirpath, fn),
+                                                 root))
     return sorted(files)
-
-
-def libclang_crosscheck(root, scan_files, compdb_path, model, notes):
-    """Optional clang.cindex AST pass. Cross-validates the token model
-    (function definitions, thread_locals, registry member types) against the
-    real AST and augments it with anything the tokens missed. Returns True
-    when the pass actually ran."""
-    try:
-        from clang import cindex  # type: ignore
-    except ImportError:
-        return False
-    try:
-        index = cindex.Index.create()
-    except Exception as e:  # library present but unusable
-        notes.append(f"libclang unusable: {e}")
-        return False
-
-    args_for = {}
-    if compdb_path:
-        try:
-            db = cindex.CompilationDatabase.fromDirectory(
-                os.path.dirname(compdb_path))
-            for rel in scan_files:
-                cmds = db.getCompileCommands(os.path.join(root, rel))
-                if cmds:
-                    args = [a for a in list(cmds[0].arguments)[1:-1]
-                            if a not in ("-c", "-o")]
-                    args_for[rel] = args
-        except Exception:
-            pass
-
-    ast_defs, ast_tls = set(), set()
-    for rel in scan_files:
-        if not rel.endswith((".cpp", ".cc")):
-            continue
-        args = args_for.get(rel, ["-std=c++20", "-I" + os.path.join(root,
-                                                                    "src")])
-        try:
-            tu = index.parse(os.path.join(root, rel), args=args)
-        except Exception as e:
-            notes.append(f"libclang parse failed for {rel}: {e}")
-            continue
-        for cur in tu.cursor.walk_preorder():
-            try:
-                loc_file = cur.location.file
-                if loc_file is None or \
-                        os.path.relpath(loc_file.name, root) != rel:
-                    continue
-                if cur.kind in (cindex.CursorKind.FUNCTION_DECL,
-                                cindex.CursorKind.CXX_METHOD,
-                                cindex.CursorKind.CONSTRUCTOR) and \
-                        cur.is_definition():
-                    ast_defs.add((rel, cur.spelling))
-                if cur.kind == cindex.CursorKind.VAR_DECL and \
-                        "thread_local" in [t.spelling for t in
-                                           cur.get_tokens()][:3]:
-                    ast_tls.add(cur.spelling)
-            except Exception:
-                continue
-
-    tok_defs = {(d.file, d.name) for fm in model.files for d in fm.defs}
-    missed = sorted(ast_defs - tok_defs)
-    for rel, name in missed:
-        notes.append(f"libclang: token frontend missed definition "
-                     f"`{name}` in {rel}")
-    for name in sorted(ast_tls - GLOBAL_TL_NAMES):
-        GLOBAL_TL_NAMES.add(name)
-        notes.append(f"libclang: added thread_local `{name}` missed by the "
-                     f"token frontend")
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -1177,8 +1073,7 @@ def self_test(root):
         os.unlink(bad_path)
 
     # The real tree must be clean modulo the checked-in allowlist.
-    rc, payload = analyze_tree(root, frontend="auto", compdb=None,
-                               json_out=None, quiet=True)
+    rc, payload = analyze_tree(root, json_out=None, quiet=True)
     unallow = payload["unallowlisted"]
     if rc in (0,) and unallow == 0:
         print(f"PASS real tree: {payload['scanned_files']} files, "
@@ -1199,22 +1094,9 @@ def self_test(root):
 # Driver
 # ---------------------------------------------------------------------------
 
-def analyze_tree(root, frontend, compdb, json_out, quiet=False):
-    notes = []
-    compdb_path = find_compdb(root, compdb)
-    scan_files = scan_file_list(root, compdb_path)
+def analyze_tree(root, json_out, quiet=False):
+    scan_files = scan_file_list(root)
     model = load_model(root, scan_files)
-
-    used_frontend = "tokens"
-    if frontend in ("auto", "libclang"):
-        ran = libclang_crosscheck(root, scan_files, compdb_path, model,
-                                  notes)
-        if ran:
-            used_frontend = "tokens+libclang"
-        elif frontend == "libclang":
-            print("SKIP: --frontend=libclang requested but the python clang "
-                  "bindings (clang.cindex) are not importable")
-            sys.exit(77)
 
     config_errors = []
     findings = run_lane_rules(model)
@@ -1230,16 +1112,12 @@ def analyze_tree(root, frontend, compdb, json_out, quiet=False):
     payload = {
         "tool": "lane_lint",
         "version": TOOL_VERSION,
-        "frontend": used_frontend,
-        "compdb": (os.path.relpath(compdb_path, root)
-                   if compdb_path else None),
         "scanned_files": len(scan_files),
         "rules": {r: RULE_TITLES[r] for r in sorted(RULE_TITLES)},
         "findings": [f.as_json() for f in findings],
         "allowlisted": sum(1 for f in findings if f.allowlisted),
         "unallowlisted": len(unallow),
         "config_errors": config_errors,
-        "notes": notes,
     }
     if json_out:
         with open(json_out, "w", encoding="utf-8") as f:
@@ -1247,8 +1125,6 @@ def analyze_tree(root, frontend, compdb, json_out, quiet=False):
             f.write("\n")
 
     if not quiet:
-        for note in notes:
-            print(f"note: {note}")
         for f in findings:
             status = " [allowlisted: " + f.justification + "]" \
                 if f.allowlisted else ""
@@ -1256,8 +1132,8 @@ def analyze_tree(root, frontend, compdb, json_out, quiet=False):
                   f"({RULE_TITLES.get(f.rule, '')}): {f.message}{status}")
         for e in config_errors:
             print(f"config error: {e}")
-        print(f"lane_lint: {len(scan_files)} files scanned "
-              f"({used_frontend}), {len(findings)} finding(s), "
+        print(f"lane_lint: {len(scan_files)} files scanned, "
+              f"{len(findings)} finding(s), "
               f"{len(unallow)} unallowlisted, "
               f"{len(config_errors)} config error(s)")
 
@@ -1272,10 +1148,6 @@ def main(argv):
         description="Lane-confinement analyzer (see module docstring).")
     ap.add_argument("--repo", default=None,
                     help="repository root (default: parent of this script)")
-    ap.add_argument("--frontend", choices=("auto", "tokens", "libclang"),
-                    default="auto")
-    ap.add_argument("--compdb", default=None,
-                    help="compile_commands.json path (default: build*/)")
     ap.add_argument("--json", dest="json_out", default=None,
                     help="write machine-readable findings JSON here")
     ap.add_argument("--self-test", action="store_true",
@@ -1286,7 +1158,7 @@ def main(argv):
         os.path.dirname(os.path.abspath(__file__)))
     if args.self_test:
         return self_test(root)
-    rc, _ = analyze_tree(root, args.frontend, args.compdb, args.json_out)
+    rc, _ = analyze_tree(root, args.json_out)
     return rc
 
 
