@@ -309,19 +309,12 @@ void FleetStatsCollector::finalize(SimTime now) {
         static_cast<std::int64_t>(totals.peak_utilization * 100.0));
   }
   if (orchestrator_ != nullptr) {
-    // Watermark distance: high watermark minus committed working sets
-    // (tracked estimates of resident VMs + in-flight admission
-    // reservations + host OS). Negative means the host is over.
+    // Watermark distance: high watermark minus the orchestrator's committed
+    // bytes (host OS + working sets of resident VMs + in-flight admission
+    // reservations). Negative means the host is over.
     for (std::size_t h = 0; h < host_cells_.size(); ++h) {
       host::Host* host = bed_->host_at(h);
-      Bytes committed = host->config().host_os_bytes;
-      for (std::size_t i = 0; i < orchestrator_->tracked_count(); ++i) {
-        VmHandle* handle = orchestrator_->tracked_at(i);
-        if (host->has_vm(handle->machine)) {
-          committed += orchestrator_->controller_at(i)->wss_estimate();
-        }
-      }
-      committed += orchestrator_->reserved_bytes_at(host);
+      const Bytes committed = orchestrator_->committed_bytes(host);
       const double high =
           orchestrator_->config().watermarks.high *
           static_cast<double>(host->ram());

@@ -125,12 +125,7 @@ Bytes MigrationOrchestrator::committed_bytes(host::Host* host) const {
   }
   // Arrivals not yet attached: admission reservations of in-flight
   // migrations targeting this host.
-  for (const InFlight& f : in_flight_) {
-    if (f.dest == host && !host->has_vm(f.handle->machine)) {
-      committed += f.reserved_wss;
-    }
-  }
-  return committed;
+  return committed + reserved_bytes_at(host);
 }
 
 void MigrationOrchestrator::retire_completed() {

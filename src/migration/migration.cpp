@@ -1,5 +1,6 @@
 #include "migration/migration.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "trace/trace.hpp"
@@ -72,6 +73,219 @@ bool MigrationManager::zero_elidable(PageIndex p) const {
   return source_mem_->is_zero_page(p);
 }
 
+bool MigrationManager::send_owed(Bitmap& owed, std::uint64_t& cursor,
+                                 SimTime& budget, std::uint32_t tick) {
+  while (budget > 0) {
+    const Bytes backlog = stream_->backlog();
+    if (backlog >= config_.send_window) return false;  // TCP window full
+    const Bitmap::Run run = owed.next_set_run(cursor);
+    if (run.empty()) return true;
+    const PageIndex p = run.begin;
+    PageIndex q = p;
+    Payload payload = Payload::kDescriptor;
+    if (source_mem_->state(p) == mem::PageState::kUntouched) {
+      // Descriptor run: every page costs the same and nothing can change a
+      // page's class mid-run (descriptors trigger no swap-ins), so the whole
+      // run collapses into one batch send, capped by the thread budget
+      // (ceil: the per-page loop sent while budget was still positive) and
+      // the remaining send window.
+      std::uint64_t n = source_mem_->state_run_end(p, run.end) - p;
+      n = std::min(n, (static_cast<std::uint64_t>(budget) +
+                       config_.page_copy_cost - 1) /
+                          config_.page_copy_cost);
+      n = std::min(n, (config_.send_window - backlog +
+                       config_.descriptor_bytes - 1) /
+                          config_.descriptor_bytes);
+      q = p + n;
+      budget -= static_cast<SimTime>(n) * config_.page_copy_cost;
+    } else if (zero_elidable(p)) {
+      // Zero-page elision run: touched pages whose content is all zeroes
+      // travel as descriptors — the destination installs them as untouched
+      // (the canonical zero page). Classification is read-only, so nothing
+      // can change a page's class mid-run; swapped zero pages skip the
+      // swap-in entirely (the mark is authoritative, no data is read).
+      while (q < run.end && budget > 0 &&
+             backlog + (q - p) * config_.descriptor_bytes < config_.send_window &&
+             zero_elidable(q)) {
+        budget -= config_.page_copy_cost;
+        ++q;
+      }
+      metrics_.pages_zero_elided += q - p;
+    } else {
+      // Full-copy stretch (resident or swapped pages). A swap-in can evict
+      // other pages of this very VM — possibly inside this run — so class and
+      // cost are re-read page by page; the wire messages still coalesce into
+      // a single batch, since every one is a full-page copy with the same
+      // delivery semantics.
+      payload = Payload::kFull;
+      while (q < run.end && budget > 0 &&
+             backlog + (q - p) * wire_page_bytes() < config_.send_window) {
+        const mem::PageState st = source_mem_->state(q);
+        AGILE_CHECK_MSG(st != mem::PageState::kRemote,
+                        "pushing an already-released page");
+        if (st == mem::PageState::kUntouched) break;
+        if (zero_elidable(q)) break;  // next stretch elides to a descriptor
+        SimTime spent = page_send_cost();
+        if (st == mem::PageState::kSwapped) {
+          // Must be brought back into memory before it can be sent (and doing
+          // so can evict other pages of this very VM).
+          spent += source_mem_->swap_in_for_transfer(q, tick);
+          if (counts_source_swap_ins()) ++metrics_.pages_swapped_in_at_source;
+        }
+        budget -= spent;
+        ++q;
+      }
+    }
+    const std::uint64_t n = q - p;
+    Bytes item = config_.descriptor_bytes;
+    if (payload == Payload::kFull) {
+      account_full_pages(n);
+      item = wire_page_bytes();
+    } else {
+      metrics_.pages_sent_descriptor += n;
+      metrics_.bytes_transferred += n * item;
+    }
+    owed.clear_range(p, q);
+    cursor = q;
+    stream_->send_batch(n, item,
+                        [this, p = p, payload](std::uint64_t k) mutable {
+                          deliver(p, k, payload);
+                          p += k;
+                        });
+  }
+  return false;
+}
+
+void MigrationManager::deliver(PageIndex p, std::uint64_t n, Payload payload) {
+  for (const PageIndex end = p + n; p < end; ++p) {
+    AGILE_DCHECK(owed_.test(p)) << "push delivered page " << p
+                                << " outside the owed set";
+    if (received_.test(p)) {
+      // A demand fault overtook this pushed copy; the receiver discards it.
+      ++metrics_.duplicate_pages;
+    } else {
+      received_.set(p);
+      // Untouched and zero-elided pages both install as the canonical zero
+      // page.
+      if (payload == Payload::kDescriptor) {
+        dest_mem_->install_untouched(p);
+      } else {
+        dest_mem_->install_resident(p, cluster_->tick_index());
+      }
+    }
+    source_mem_->release_page(p);  // progressive source memory relief
+  }
+  // Checked once per chunk: the wire counts the whole chunk as delivered, so
+  // the completion audit's in-flight count holds only once all of it landed.
+  maybe_finish_push();
+}
+
+void MigrationManager::start_push(int push_phase) {
+  AGILE_CHECK(!pushing_ && owed_.size() == page_count());
+  pushing_ = true;
+  unsent_ = owed_;
+  received_.reset(page_count(), false);
+  push_cursor_ = 0;
+  sent_before_push_ = metrics_.pages_sent_full + metrics_.pages_sent_descriptor;
+  AGILE_TRACE_SPAN_BEGIN("migration", "push", trace_id());
+  params_.machine->set_remote_fault_handler(
+      [this](PageIndex p, bool, std::uint32_t tick) {
+        return serve_fault(p, tick);
+      });
+  set_phase(push_phase, "push");
+  maybe_finish_push();  // e.g. a write-free Agile live round owes nothing
+}
+
+void MigrationManager::push_quantum(SimTime dt, std::uint32_t tick) {
+  // A drained set is simply done sending: completion fires on the last
+  // delivery or demand fault.
+  spend_quantum(dt, [&](SimTime budget) {
+    send_owed(unsent_, push_cursor_, budget, tick);
+    return budget;
+  });
+}
+
+SimTime MigrationManager::serve_fault(PageIndex p, std::uint32_t tick) {
+  // Only owed pages can still be kRemote at the destination: Agile's cold
+  // pages were installed as locally swapped and take the ordinary swap-in
+  // path against the per-VM device.
+  AGILE_CHECK_MSG(owed_.test(p), "remote fault outside the owed set");
+  AGILE_CHECK(!received_.test(p));
+  SimTime latency = config_.fault_overhead;
+  net::Network& net = cluster_->network();
+  net::NodeId dst = params_.dest->node();
+  net::NodeId src = params_.source->node();
+
+  mem::PageState st = source_mem_->state(p);
+  AGILE_CHECK_MSG(st != mem::PageState::kRemote, "fault on a released page");
+  const bool zero = zero_elidable(p);  // answered by descriptor, no data read
+  if (st == mem::PageState::kSwapped && !zero) {
+    // The source must read the page off its swap device before it can
+    // answer — on a memory-constrained source, the paper's post-copy
+    // degradation mechanism.
+    latency += source_mem_->swap_in_for_transfer(p, tick, /*sequential=*/false);
+    st = mem::PageState::kResident;
+  }
+  if (st == mem::PageState::kUntouched || zero) {
+    latency += net.rpc_latency(dst, src, config_.descriptor_bytes);
+    net.consume_background(dst, src, config_.descriptor_bytes);
+    net.consume_background(src, dst, config_.descriptor_bytes);
+    metrics_.bytes_transferred += config_.descriptor_bytes;
+    if (zero) ++metrics_.pages_zero_elided;
+    dest_mem_->install_untouched(p);
+  } else {
+    latency += net.rpc_latency(dst, src, full_page_bytes());
+    net.consume_background(dst, src, config_.descriptor_bytes);  // request
+    net.consume_background(src, dst, full_page_bytes());         // response
+    metrics_.bytes_transferred += full_page_bytes();
+    dest_mem_->install_resident(p, tick);
+  }
+  unsent_.clear(p);
+  received_.set(p);
+  ++metrics_.pages_demand_served;
+  AGILE_TRACE_INSTANT("migration", "demand_fault", trace_id(),
+                      static_cast<double>(p));
+  AGILE_LOG_EVERY_N(kDebug, 1000, "%s %s: %llu demand faults served",
+                    technique(), params_.machine->name().c_str(),
+                    static_cast<unsigned long long>(metrics_.pages_demand_served));
+  source_mem_->release_page(p);
+  maybe_finish_push();
+  return latency;
+}
+
+void MigrationManager::maybe_finish_push() {
+  if (!pushing_ || received_.count() != owed_.count()) return;
+  if (audit::enabled()) {
+    // Exactly once: every page message since the flip (push or demand serve)
+    // is the first copy of an owed page, a duplicate (a push a demand fault
+    // overtook), or such a push still on the wire — everything the wire
+    // carries after the flip is a push, and one in flight now lands as a
+    // duplicate after completion.
+    const std::uint64_t messages =
+        metrics_.pages_sent_full + metrics_.pages_sent_descriptor -
+        sent_before_push_ + metrics_.pages_demand_served;
+    const std::uint64_t in_flight = stream_->items_in_flight();
+    AGILE_CHECK_S(messages ==
+                  owed_.count() + metrics_.duplicate_pages + in_flight)
+        << "push does not cover the owed set exactly once: " << messages
+        << " page messages since the flip vs owed " << owed_.count()
+        << " + dup " << metrics_.duplicate_pages << " + in flight "
+        << in_flight;
+    AGILE_CHECK_S(unsent_.none())
+        << "finishing with " << unsent_.count() << " unsent pages";
+    received_.deep_audit();
+  }
+  pushing_ = false;
+  set_phase(phase_code() + 1, "done");
+  AGILE_TRACE_SPAN_END("migration", "push", trace_id());
+  params_.machine->clear_remote_fault_handler();
+  // Reclaim what the source still holds: frames, swap-cache copies and (for
+  // Agile) re-evicted dirty pages' slots — the destination references none
+  // of them.
+  source_mem_->teardown(/*free_slots=*/true);
+  finish();
+}
+
 void MigrationManager::set_phase(int code, const char* name) {
   if (phase_code_ == code) return;
   phase_code_ = code;
@@ -128,7 +342,12 @@ void MigrationManager::start() {
 
   hook_id_ = cluster_->add_control_hook(
       [this](SimTime now, SimTime dt, std::uint32_t tick) {
-        if (!metrics_.completed) on_tick(now, dt, tick);
+        if (metrics_.completed) return;
+        if (pushing_) {
+          push_quantum(dt, tick);
+        } else {
+          on_tick(now, dt, tick);
+        }
       });
 
   AGILE_LOG_INFO("%s migration of %s: %s -> %s starting", technique(),
@@ -142,10 +361,9 @@ void MigrationManager::begin_suspend() {
   suspend_time_ = cluster_->simulation().now();
 }
 
-void MigrationManager::complete_switchover(std::uint32_t tick) {
+void MigrationManager::complete_switchover() {
   AGILE_CHECK_MSG(suspend_time_ >= 0, "switchover without suspension");
   AGILE_CHECK(metrics_.switchover_time < 0);
-  (void)tick;
 
   vm::VirtualMachine* machine = params_.machine;
   params_.source->detach_vm(machine);
@@ -164,6 +382,7 @@ void MigrationManager::complete_switchover(std::uint32_t tick) {
   AGILE_LOG_INFO("%s migration of %s: resumed at destination (downtime %.0f ms)",
                  technique(), machine->name().c_str(),
                  static_cast<double>(metrics_.downtime) / 1000.0);
+  if (on_switchover_) on_switchover_();
 }
 
 void MigrationManager::finish() {

@@ -13,6 +13,15 @@
 //    destination host, swaps in the destination memory, and resumes it,
 //  * `MigrationMetrics` records the paper's measures: total time, downtime,
 //    bytes on the migration channel, demand-fault counts, etc.
+//
+// The manager owns the one run-batched page sender (`send_owed`): pre-copy's
+// rounds and stop-copy, post-copy's push and Agile's dirty push all call it
+// and differ only in their receiver side (`deliver`). It also owns the
+// post-flip protocol the paper builds Agile from: `start_push` hands the
+// destination an owed set — the whole guest for post-copy, the live round's
+// dirty set for Agile — which the source then pushes while the destination
+// demand-faults whatever it touches first. Agile's post-flip phase *is* this
+// push, over fewer pages.
 #pragma once
 
 #include <functional>
@@ -120,6 +129,12 @@ class MigrationManager {
   /// Fires once when the migration completes.
   void set_on_complete(std::function<void()> fn) { on_complete_ = std::move(fn); }
 
+  /// Fires at switchover, once the VM runs at the destination. The core
+  /// layer uses it to re-attach a portable per-VM swap device there.
+  void set_on_switchover(std::function<void()> fn) {
+    on_switchover_ = std::move(fn);
+  }
+
   /// Fires from the destructor (before members tear down). The Testbed uses
   /// this to deregister the migration from its lane-affinity registry; the
   /// registrar must outlive the manager.
@@ -161,13 +176,60 @@ class MigrationManager {
   mem::GuestMemory* source_memory() const { return source_mem_; }
 
  protected:
-  /// Per-quantum protocol step; `budget` is the migration thread's time.
+  /// Wire payload of a page run sent by `send_owed`.
+  enum class Payload : std::uint8_t {
+    kDescriptor,  ///< Untouched or zero-elided: installs as the zero page.
+    kFull,        ///< The page's content.
+  };
+
+  /// Per-quantum protocol step, until `start_push`: from then on the manager
+  /// runs the push itself each quantum.
   virtual void on_tick(SimTime now, SimTime dt, std::uint32_t tick) = 0;
 
+  /// Runs one quantum of migration-thread work: `work(budget)` gets `dt`
+  /// minus what the previous quantum overdrew and returns what it left over
+  /// (negative: overdrawn, carried into the next quantum). A quantum the debt
+  /// swallows whole runs no work.
+  template <typename Work>
+  void spend_quantum(SimTime dt, Work&& work) {
+    SimTime budget = dt - debt_;
+    debt_ = 0;
+    if (budget > 0) budget = work(budget);
+    if (budget < 0) debt_ = -budget;
+  }
+
+  /// The run-batched sender. Walks `owed`'s set bits from `cursor`, clearing
+  /// each page it sends: untouched and zero-elided runs travel as descriptor
+  /// batches, resident/swapped stretches as full-page batches (swapped pages
+  /// are swapped in at the source first). Each batch costs `budget` thread
+  /// time and lands through `deliver`. Stops on a spent budget or a full
+  /// send window (returns false) or a drained set (returns true).
+  bool send_owed(Bitmap& owed, std::uint64_t& cursor, SimTime& budget,
+                 std::uint32_t tick);
+
+  /// Receiver side of `send_owed`: pages [p, p + n) arrived as `payload`.
+  /// The default is the push delivery (post-copy, Agile): a page's first
+  /// copy installs at the destination, a copy a demand fault overtook is
+  /// counted as a duplicate and dropped, and either way the source releases
+  /// the page. Pre-copy overrides it with its range installs.
+  virtual void deliver(PageIndex p, std::uint64_t n, Payload payload);
+
+  /// Whether a source swap-in on the send path counts toward
+  /// `pages_swapped_in_at_source` — the baselines' SSD read cost. Agile
+  /// re-reads its per-VM device, a remote-memory hit, and opts out.
+  virtual bool counts_source_swap_ins() const { return true; }
+
+  /// Starts the post-flip push over `owed_` (call from the flip callback,
+  /// after `complete_switchover`): installs the demand-fault service, enters
+  /// phase `push_phase` ("push"), and completes at once if nothing is owed.
+  /// The push finishes in phase `push_phase + 1` ("done") once the
+  /// destination holds every owed page, then tears the source down.
+  void start_push(int push_phase);
+
   /// Moves execution to the destination: suspend accounting, host move,
-  /// memory swap, resume. Subclasses call this at their switchover point,
-  /// after `begin_suspend` + CPU-state delivery.
-  void complete_switchover(std::uint32_t tick);
+  /// memory swap, resume, then the switchover callback. Subclasses call this
+  /// at their switchover point, after `begin_suspend` + CPU-state delivery.
+  void complete_switchover();
 
   /// Marks the VM suspended and remembers when (downtime starts).
   void begin_suspend();
@@ -207,16 +269,38 @@ class MigrationManager {
   mem::GuestMemory* source_mem_ = nullptr;
   std::unique_ptr<mem::GuestMemory> source_mem_owned_;  ///< After switchover.
 
+  /// Pages the destination is owed after the flip: the whole guest for
+  /// post-copy, the live round's dirty set for Agile. Fixed once pushing.
+  Bitmap owed_;
+  Bitmap received_;  ///< Owed pages the destination holds.
+
  private:
+  /// Per-quantum push after `start_push`.
+  void push_quantum(SimTime dt, std::uint32_t tick);
+  /// Demand-fault service of the push: fetches owed page `p` from the
+  /// source (swapping it in there first if it is cold).
+  SimTime serve_fault(PageIndex p, std::uint32_t tick);
+  /// Completes the push once the destination holds every owed page.
+  void maybe_finish_push();
+
   bool started_ = false;
   int phase_code_ = 0;
   const char* phase_name_ = "init";
   SimTime suspend_time_ = -1;
+  SimTime debt_ = 0;  ///< Thread time overdrawn from the last quantum.
   std::uint64_t hook_id_ = 0;
   std::function<void()> on_complete_;
+  std::function<void()> on_switchover_;
   std::function<void(MigrationManager*)> on_destroy_;
   Bytes wire_page_bytes_ = 0;     ///< Cached: header + compressed page body.
   SimTime page_send_cost_ = 0;    ///< Cached: copy + compression µs per page.
+
+  bool pushing_ = false;     ///< Between start_push and push completion.
+  Bitmap unsent_;            ///< Owed pages not yet pushed or demand-served.
+  std::uint64_t push_cursor_ = 0;
+  /// Full + descriptor pages sent before the push started (Agile's live
+  /// round): the exactly-once audit counts page messages from here.
+  std::uint64_t sent_before_push_ = 0;
 };
 
 }  // namespace agile::migration

@@ -8,6 +8,9 @@
 // Every page travels exactly once; duplicates from push/fault races are
 // detected at the receiver and dropped. Source memory is freed progressively
 // as pages are delivered, which is what relieves source memory pressure.
+//
+// Both mechanisms are the manager's shared post-flip push with the whole
+// guest owed; Agile's post-flip phase is the same push over its dirty set.
 #pragma once
 
 #include "migration/migration.hpp"
@@ -25,24 +28,11 @@ class PostcopyMigration final : public MigrationManager {
     return page_count() - received_.count();
   }
 
-  /// Pages the destination received (for tests).
-  std::uint64_t pages_received() const { return received_.count(); }
-
  protected:
   void on_tick(SimTime now, SimTime dt, std::uint32_t tick) override;
 
  private:
-  enum class Phase { kInit, kFlipWait, kPush, kDone };
-
-  SimTime handle_fault(PageIndex p, bool write, std::uint32_t tick);
-  void deliver_page(PageIndex p);
-  void maybe_finish();
-
-  Phase phase_ = Phase::kInit;
-  Bitmap sent_;      ///< Enqueued on the stream or served via a fault.
-  Bitmap received_;  ///< Destination holds the authoritative copy.
-  std::uint64_t cursor_ = 0;
-  SimTime debt_ = 0;
+  bool flipping_ = false;  ///< CPU state sent; the push starts on its arrival.
 };
 
 }  // namespace agile::migration

@@ -28,6 +28,9 @@ class PrecopyMigration final : public MigrationManager {
 
  protected:
   void on_tick(SimTime now, SimTime dt, std::uint32_t tick) override;
+  /// Range installs: descriptors as untouched pages, full pages overwrite
+  /// whatever an earlier round installed.
+  void deliver(PageIndex p, std::uint64_t n, Payload payload) override;
 
  private:
   enum class Phase { kInit, kLive, kStopCopy, kAwaitResume };
@@ -40,7 +43,6 @@ class PrecopyMigration final : public MigrationManager {
   Bitmap next_dirty_;  ///< KVM dirty log for the running round.
   std::uint64_t cursor_ = 0;
   std::uint32_t round_ = 0;
-  SimTime debt_ = 0;  ///< Thread time overdrawn from the last quantum.
 };
 
 }  // namespace agile::migration

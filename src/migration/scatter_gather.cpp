@@ -7,11 +7,6 @@
 
 namespace agile::migration {
 
-namespace {
-// Slot table for in-flight scattered pages lives protocol-side (the source
-// page table forgets slots it hands over). kNoSlot marks an untouched page.
-}  // namespace
-
 ScatterGatherMigration::ScatterGatherMigration(host::Cluster* cluster,
                                                MigrationParams params,
                                                MigrationConfig config)
@@ -31,14 +26,13 @@ void ScatterGatherMigration::on_tick(SimTime now, SimTime dt,
     // Fenced for uniformity: the CPU state is the first message of the
     // migration, so the fence is trivially satisfied on delivery.
     stream_->send_fenced(config_.cpu_state_bytes, [this] {
-      complete_switchover(cluster_->tick_index());
+      complete_switchover();
       AGILE_TRACE_SPAN_END("migration", "flip_wait", trace_id());
       AGILE_TRACE_SPAN_BEGIN("migration", "scatter", trace_id());
       params_.machine->set_remote_fault_handler(
           [this](PageIndex p, bool write, std::uint32_t t) {
             return handle_fault(p, write, t);
           });
-      if (on_switchover_) on_switchover_();
       phase_ = Phase::kScatter;
       set_phase(2, "scatter");
     });
@@ -52,9 +46,7 @@ void ScatterGatherMigration::on_tick(SimTime now, SimTime dt,
   if (phase_ == Phase::kDone) return;
 
   if (phase_ == Phase::kScatter) {
-    SimTime budget = dt - debt_;
-    debt_ = 0;
-    if (budget > 0) {
+    spend_quantum(dt, [&](SimTime budget) {
       // Scatter near NIC line rate: evicting a page moves it over the
       // network to an intermediate host, so pace by bytes per quantum —
       // leaving headroom so the descriptor stream to the destination is not
@@ -99,8 +91,8 @@ void ScatterGatherMigration::on_tick(SimTime now, SimTime dt,
                               }
                             });
       }
-      if (budget < 0) debt_ = -budget;
-    }
+      return budget;
+    });
   }
   gather(dt, tick);
   (void)now;

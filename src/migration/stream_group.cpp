@@ -146,4 +146,10 @@ std::size_t StreamGroup::queued_messages() const {
   return total;
 }
 
+std::uint64_t StreamGroup::items_in_flight() const {
+  std::uint64_t total = 0;
+  for (const auto& lane : lanes_) total += lane->items_in_flight();
+  return total;
+}
+
 }  // namespace agile::migration

@@ -70,6 +70,7 @@ class StreamGroup {
   Bytes offered_bytes() const;
   bool idle() const;
   std::size_t queued_messages() const;
+  std::uint64_t items_in_flight() const;
 
   std::size_t lane_count() const { return lanes_.size(); }
   const WireStream& lane(std::size_t k) const { return *lanes_[k]; }

@@ -72,6 +72,11 @@ class WireStream {
   bool idle() const { return queue_.empty(); }
   /// Queue entries in flight (a batch of any length counts once).
   std::size_t queued_messages() const { return queue_.size(); }
+  /// Items (pages, descriptors, single messages) whose completion callback
+  /// has not fired yet.
+  std::uint64_t items_in_flight() const {
+    return items_offered_ - items_completed_;
+  }
 
   /// Installs a hook invoked once at the end of every delivery quantum (after
   /// all chunk callbacks of that quantum have fired). A StreamGroup uses this

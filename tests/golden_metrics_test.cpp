@@ -4,7 +4,10 @@
 // variants) and compares every MigrationMetrics field — bytes on the wire,
 // full/descriptor page counts, downtime, total time, fault counts — plus the
 // final source/destination memory-state tallies against a checked-in golden
-// file. Optimizations to the wire path (run-length batching, allocation-free
+// file. Two variants of every case pin the sender's other branches exactly:
+// `/zero` (a fifth of the touched pages hold all-zero content, elided to
+// descriptors) and `/fast4` (LZO-class compression over four wire streams).
+// Optimizations to the wire path (run-length batching, allocation-free
 // callbacks, word-scan iteration) must keep this dump byte-identical: the
 // metrics are simulation-observable behavior, not implementation detail.
 //
@@ -30,13 +33,20 @@
 namespace agile::core {
 namespace {
 
+enum class Variant { kPlain, kZero, kFast4 };
+
 struct GoldenCase {
   Technique technique;
   bool busy;
+  Variant variant = Variant::kPlain;
 };
 
 std::string case_name(const GoldenCase& c) {
-  return std::string(technique_name(c.technique)) + (c.busy ? "/busy" : "/idle");
+  std::string name =
+      std::string(technique_name(c.technique)) + (c.busy ? "/busy" : "/idle");
+  if (c.variant == Variant::kZero) name += "/zero";
+  if (c.variant == Variant::kFast4) name += "/fast4";
+  return name;
 }
 
 // A small two-host bed: 1 GiB hosts, 256 MiB VM with a 128 MiB reservation so
@@ -61,9 +71,15 @@ std::string run_case(const GoldenCase& c) {
                c.technique == Technique::kPostcopy)
                   ? SwapBinding::kHostPartition
                   : SwapBinding::kPerVmDevice;
+  if (c.variant == Variant::kZero) spec.zero_page_fraction = 0.2;
   VmHandle& handle = bed.create_vm(spec);
 
   if (c.busy) {
+    // The YCSB load writes (and so un-zeroes) the OS + dataset pages; prefill
+    // the whole guest first so the zero-marked tail past the dataset survives.
+    if (c.variant == Variant::kZero) {
+      handle.machine->memory().prefill(handle.machine->page_count(), 0);
+    }
     workload::YcsbConfig wcfg;
     wcfg.dataset_bytes = 200_MiB;
     wcfg.guest_os_bytes = 16_MiB;
@@ -81,7 +97,12 @@ std::string run_case(const GoldenCase& c) {
   }
   bed.cluster().run_for_seconds(2.0);
 
-  auto migration = bed.make_migration(c.technique, handle);
+  migration::MigrationConfig mcfg;
+  if (c.variant == Variant::kFast4) {
+    mcfg.compression = migration::Compression::kFast;
+    mcfg.num_streams = 4;
+  }
+  auto migration = bed.make_migration(c.technique, handle, 0, mcfg);
   migration->start();
   double deadline = bed.cluster().now_seconds() + 1200;
   while (!migration->completed() && bed.cluster().now_seconds() < deadline) {
@@ -106,19 +127,23 @@ std::string run_case(const GoldenCase& c) {
      << " dest_minor=" << mem.stats().minor_faults
      << " dest_major=" << mem.stats().major_faults
      << " dest_installs=" << mem.stats().remote_installs;
+  if (c.variant != Variant::kPlain) {
+    os << " zero=" << m.pages_zero_elided
+       << " saved=" << m.compressed_bytes_saved;
+  }
   mem.check_consistency();
   return os.str();
 }
 
 std::string dump_all() {
-  const GoldenCase cases[] = {
-      {Technique::kPrecopy, false},       {Technique::kPrecopy, true},
-      {Technique::kPostcopy, false},      {Technique::kPostcopy, true},
-      {Technique::kAgile, false},         {Technique::kAgile, true},
-      {Technique::kScatterGather, false}, {Technique::kScatterGather, true},
-  };
+  const Technique techniques[] = {Technique::kPrecopy, Technique::kPostcopy,
+                                  Technique::kAgile, Technique::kScatterGather};
   std::string out;
-  for (const GoldenCase& c : cases) out += run_case(c) + "\n";
+  for (Variant v : {Variant::kPlain, Variant::kZero, Variant::kFast4}) {
+    for (Technique t : techniques) {
+      for (bool busy : {false, true}) out += run_case({t, busy, v}) + "\n";
+    }
+  }
   return out;
 }
 

@@ -87,8 +87,11 @@ TEST(WireStream, BatchDeliversChunksInOrder) {
   ws.send_batch(100, 1000, [&](std::uint64_t k) {
     items += k;
     ++calls;
+    // A chunk is no longer in flight by the time its callback runs.
+    EXPECT_EQ(ws.items_in_flight(), 100u - items);
   });
   EXPECT_EQ(ws.queued_messages(), 1u);  // one queue entry for the whole batch
+  EXPECT_EQ(ws.items_in_flight(), 100u);
   fx.net.advance(msec(100));
   EXPECT_EQ(items, 100u);
   EXPECT_EQ(calls, 1);  // everything fit in one quantum -> one chunk
