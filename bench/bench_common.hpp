@@ -7,18 +7,18 @@
 //                        still hold, absolute numbers shrink)
 //   AGILE_BENCH_JOBS=N   worker threads for sweep execution (default:
 //                        hardware concurrency; 1 forces serial in-thread)
-//   AGILE_BENCH_FRESH=1  ignore and rewrite the cross-binary run cache
-//   AGILE_TRACE=out.json record a Chrome trace per freshly executed run,
-//                        written to out.json.<run-key>.json (cached runs
-//                        re-use prior results and record nothing)
-//   AGILE_STATS=stem     record deterministic metrics snapshots per freshly
-//                        executed run, written to stem.<run-key>.stats.json
-//                        (+ .stats.prom); byte-identical across reruns, lane
-//                        counts and job counts (see src/stats)
+//   AGILE_TRACE=out.json record a Chrome trace per run, written to
+//                        out.json.<run-key>.json
+//   AGILE_STATS=stem     record deterministic metrics snapshots per run,
+//                        written to stem.<run-key>.stats.json (+ .stats.prom);
+//                        byte-identical across reruns, lane counts and job
+//                        counts (see src/stats)
 //
+// Every run is a fresh simulation: a binary that reports several views of
+// one experiment (Figs. 7-8, Tables I-III) prints them all from one sweep.
 // Each bench ends with a timing footer (see `footer`) so sweep speedups are
-// measurable: wall-clock, jobs, runs executed vs served from cache, total
-// simulation events and events/second.
+// measurable: wall-clock, jobs, runs executed, total simulation events and
+// events/second.
 #pragma once
 
 #include <atomic>
@@ -66,7 +66,7 @@ inline unsigned sweep_jobs() {
 }
 
 /// Trace output stem from AGILE_TRACE, or empty when tracing is off. Each
-/// freshly executed run appends its cache key: `<stem>.<key>.json`.
+/// run appends its run key: `<stem>.<key>.json`.
 inline const std::string& trace_stem() {
   static const std::string stem = [] {
     const char* env = std::getenv("AGILE_TRACE");
@@ -76,7 +76,7 @@ inline const std::string& trace_stem() {
 }
 
 /// Stats output stem from AGILE_STATS, or empty when stats are off. Each
-/// freshly executed run writes `<stem>.<key>.stats.json` (snapshots) and
+/// run writes `<stem>.<key>.stats.json` (snapshots) and
 /// `<stem>.<key>.stats.prom` (final Prometheus exposition).
 inline const std::string& stats_stem() {
   static const std::string stem = [] {
@@ -105,7 +105,6 @@ inline void write_run_stats(const stats::Registry& registry,
 /// both on the main thread.
 struct SweepStats {
   std::atomic<std::uint64_t> runs_executed{0};
-  std::atomic<std::uint64_t> runs_cached{0};
   std::atomic<std::uint64_t> runs_incomplete{0};
   std::atomic<std::uint64_t> sim_events{0};
   std::chrono::steady_clock::time_point wall_start =
@@ -117,17 +116,12 @@ inline SweepStats& sweep_stats() {
   return stats;
 }
 
-/// Records one freshly executed simulation and the events it ran
+/// Records one executed simulation and the events it ran
 /// (coordinator plus lane events: `Cluster::events_executed_total`).
 inline void record_run(std::uint64_t events_executed) {
   sweep_stats().runs_executed.fetch_add(1, std::memory_order_relaxed);
   sweep_stats().sim_events.fetch_add(events_executed,
                                      std::memory_order_relaxed);
-}
-
-/// Records one result served from the cross-binary cache.
-inline void record_cached_run() {
-  sweep_stats().runs_cached.fetch_add(1, std::memory_order_relaxed);
 }
 
 /// Records a run whose migration hit the time limit without completing.
@@ -152,9 +146,25 @@ inline void banner(const std::string& title) {
 
 inline void note(const std::string& text) { std::printf("%s\n", text.c_str()); }
 
+/// Prints a bench's golden block (purely simulation-derived lines) and
+/// mirrors it to `<out_dir>/<name>_golden.txt`, the file the determinism
+/// harness compares across configurations. Exits non-zero when the file
+/// cannot be written, so a compare never reads a stale or missing golden.
+inline void write_golden(const std::string& name, const std::string& golden) {
+  std::printf("%s", golden.c_str());
+  const std::string path = out_dir() + "/" + name + "_golden.txt";
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  bool ok = f != nullptr && std::fputs(golden.c_str(), f) >= 0;
+  if (f != nullptr && std::fclose(f) != 0) ok = false;
+  if (!ok) {
+    std::fprintf(stderr, "cannot write golden file '%s'\n", path.c_str());
+    std::exit(1);
+  }
+}
+
 /// Timing footer; every bench prints this last.
-/// Format: `[timing] wall 3.21 s | jobs 4 | runs 36 (+2 cached) | 45123456
-/// sim events | 14.1M events/s`.
+/// Format: `[timing] wall 3.21 s | jobs 4 | runs 36 | 45123456 sim events |
+/// 14.1M events/s`.
 /// When `name` is non-empty, the same numbers are mirrored machine-readably
 /// to `<out_dir>/BENCH_<name>.json` so CI can diff sweep throughput across
 /// commits without scraping stdout. `extra_json` lets a bench append its own
@@ -168,7 +178,6 @@ inline void footer(const std::string& name = "",
                     .count();
   std::uint64_t events = s.sim_events.load(std::memory_order_relaxed);
   std::uint64_t executed = s.runs_executed.load(std::memory_order_relaxed);
-  std::uint64_t cached = s.runs_cached.load(std::memory_order_relaxed);
   std::uint64_t incomplete = s.runs_incomplete.load(std::memory_order_relaxed);
   double rate = wall > 0 ? static_cast<double>(events) / wall : 0;
   char rate_str[32];
@@ -178,10 +187,9 @@ inline void footer(const std::string& name = "",
     std::snprintf(rate_str, sizeof(rate_str), "%.0f", rate);
   }
   std::printf(
-      "[timing] wall %.2f s | jobs %u | runs %llu (+%llu cached) | "
-      "%llu sim events | %s events/s\n",
+      "[timing] wall %.2f s | jobs %u | runs %llu | %llu sim events | %s "
+      "events/s\n",
       wall, sweep_jobs(), static_cast<unsigned long long>(executed),
-      static_cast<unsigned long long>(cached),
       static_cast<unsigned long long>(events), rate_str);
   if (incomplete > 0) {
     std::printf("[timing] WARNING: %llu run(s) hit the migration time limit\n",
@@ -197,14 +205,12 @@ inline void footer(const std::string& name = "",
                  "  \"wall_seconds\": %.3f,\n"
                  "  \"jobs\": %u,\n"
                  "  \"runs_executed\": %llu,\n"
-                 "  \"runs_cached\": %llu,\n"
                  "  \"runs_incomplete\": %llu,\n"
                  "  \"incomplete\": %s,\n"
                  "  \"sim_events\": %llu,\n"
                  "  \"events_per_sec\": %.0f",
                  name.c_str(), quick_mode() ? "true" : "false", wall,
                  sweep_jobs(), static_cast<unsigned long long>(executed),
-                 static_cast<unsigned long long>(cached),
                  static_cast<unsigned long long>(incomplete),
                  incomplete > 0 ? "true" : "false",
                  static_cast<unsigned long long>(events), rate);

@@ -8,9 +8,8 @@
 // Besides the usual table, the bench prints a FLEET_GOLDEN block of purely
 // simulation-derived lines (decisions, placements, overlap, bytes) and
 // mirrors it to fleet_consolidation_golden.txt — byte-identical for a fixed
-// seed at any AGILE_BENCH_JOBS setting, which the bench_smoke determinism
-// test diffs. Runs are always executed fresh (no run cache: the result is a
-// decision log, not a single-migration CachedRun).
+// seed at any AGILE_BENCH_JOBS, AGILE_SIM_LANES, AGILE_AUDIT or AGILE_STATS
+// setting, which the bench_smoke_*_determinism compare tests diff.
 #include <algorithm>
 #include <string>
 
@@ -161,12 +160,7 @@ int main() {
 
   std::string golden;
   for (const FleetRun& r : runs) golden += r.golden;
-  std::printf("%s", golden.c_str());
-  std::string golden_path = bench::out_dir() + "/fleet_consolidation_golden.txt";
-  if (std::FILE* f = std::fopen(golden_path.c_str(), "w")) {
-    std::fputs(golden.c_str(), f);
-    std::fclose(f);
-  }
+  bench::write_golden("fleet_consolidation", golden);
 
   bench::note("Expected: one decision launches >=2 concurrent migrations "
               "spread across >=2 destinations (overlap=yes for every "

@@ -214,12 +214,7 @@ int main() {
 
   std::string golden;
   for (const TopoRun& r : runs) golden += r.golden;
-  std::printf("%s", golden.c_str());
-  std::string golden_path = bench::out_dir() + "/fleet_topology_golden.txt";
-  if (std::FILE* f = std::fopen(golden_path.c_str(), "w")) {
-    std::fputs(golden.c_str(), f);
-    std::fclose(f);
-  }
+  bench::write_golden("fleet_topology", golden);
 
   const TopoRun& obl = runs[0];
   const TopoRun& aware = runs[1];

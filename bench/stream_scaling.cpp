@@ -16,12 +16,12 @@
 // The deterministic per-run block is mirrored to stream_scaling_golden.txt
 // (byte-identical across AGILE_BENCH_JOBS), and the fat-pipe 4-stream
 // speedup per technique lands in BENCH_stream_scaling.json.
+#include <cstring>
 #include <map>
 
 #include "bench_common.hpp"
 #include "core/scenarios.hpp"
 #include "parallel_sweep.hpp"
-#include "run_cache.hpp"
 #include "util/log.hpp"
 
 using namespace agile;
@@ -37,43 +37,40 @@ struct Point {
   Compression compression;
 };
 
-bench::CachedRun run_point(const Point& pt) {
+migration::MigrationMetrics run_point(const Point& pt) {
   const bool quick = bench::quick_mode();
   char key[128];
   std::snprintf(key, sizeof(key), "streamscale_%s_%s_s%u_%s%s", pt.scenario,
                 core::technique_name(pt.technique), pt.streams,
                 migration::compression_name(pt.compression),
                 quick ? "_quick" : "");
-  return bench::cached_run(key, [&] {
-    core::scenarios::SingleVmOptions opt;
-    opt.technique = pt.technique;
-    opt.host_ram = quick ? 1_GiB : 6_GiB;
-    opt.vm_memory = quick ? 512_MiB : 4_GiB;
-    opt.num_streams = pt.streams;
-    opt.compression = pt.compression;
-    opt.zero_page_fraction = 0.2;
-    if (std::strcmp(pt.scenario, "fat") == 0) {
-      opt.link_bits_per_sec = 10e9;
-      opt.flow_max_bits_per_sec = 1e9;
-      // One quantum of the aggregate rate (up to ~100 MB at 8 Gbps / 100 ms)
-      // or the streams run dry between scheduling quanta.
-      opt.send_window = 128_MiB;
-    }
-    opt.trace = !bench::trace_stem().empty();
-    core::scenarios::SingleVm sc = core::scenarios::make_single_vm(opt);
-    sc.prepare();
-    sc.run_migration();
-    bench::record_run(sc.bed->cluster().events_executed_total());
-    if (!sc.migration->metrics().completed) bench::record_incomplete_run();
-    if (sc.session != nullptr) {
-      Status st = sc.session->recorder().write_chrome_json(
-          bench::trace_stem() + "." + key + ".json");
-      if (!st.is_ok()) AGILE_LOG_WARN("%s", st.message().c_str());
-    }
-    bench::CachedRun r;
-    r.migration = sc.migration->metrics();
-    return r;
-  });
+  bench::note("  [" + std::string(key) + "] running...");
+  core::scenarios::SingleVmOptions opt;
+  opt.technique = pt.technique;
+  opt.host_ram = quick ? 1_GiB : 6_GiB;
+  opt.vm_memory = quick ? 512_MiB : 4_GiB;
+  opt.num_streams = pt.streams;
+  opt.compression = pt.compression;
+  opt.zero_page_fraction = 0.2;
+  if (std::strcmp(pt.scenario, "fat") == 0) {
+    opt.link_bits_per_sec = 10e9;
+    opt.flow_max_bits_per_sec = 1e9;
+    // One quantum of the aggregate rate (up to ~100 MB at 8 Gbps / 100 ms)
+    // or the streams run dry between scheduling quanta.
+    opt.send_window = 128_MiB;
+  }
+  opt.trace = !bench::trace_stem().empty();
+  core::scenarios::SingleVm sc = core::scenarios::make_single_vm(opt);
+  sc.prepare();
+  sc.run_migration();
+  bench::record_run(sc.bed->cluster().events_executed_total());
+  if (!sc.migration->metrics().completed) bench::record_incomplete_run();
+  if (sc.session != nullptr) {
+    Status st = sc.session->recorder().write_chrome_json(
+        bench::trace_stem() + "." + key + ".json");
+    if (!st.is_ok()) AGILE_LOG_WARN("%s", st.message().c_str());
+  }
+  return sc.migration->metrics();
 }
 
 }  // namespace
@@ -103,7 +100,7 @@ int main() {
     }
   }
   bench::ParallelSweep sweep;
-  std::vector<bench::CachedRun> runs = sweep.map(points, run_point);
+  std::vector<migration::MigrationMetrics> runs = sweep.map(points, run_point);
 
   metrics::Table table({"net", "technique", "streams", "compression",
                         "migration time (s)", "downtime (ms)", "wire (MiB)",
@@ -111,7 +108,7 @@ int main() {
   std::string golden;
   for (std::size_t i = 0; i < points.size(); ++i) {
     const Point& pt = points[i];
-    const migration::MigrationMetrics& m = runs[i].migration;
+    const migration::MigrationMetrics& m = runs[i];
     table.add_row({pt.scenario, core::technique_name(pt.technique),
                    std::to_string(pt.streams),
                    migration::compression_name(pt.compression),
@@ -138,19 +135,14 @@ int main() {
   }
   std::printf("\n%s\n", table.to_string().c_str());
   table.write_csv(bench::out_dir() + "/stream_scaling.csv");
-  std::printf("%s", golden.c_str());
-  std::string golden_path = bench::out_dir() + "/stream_scaling_golden.txt";
-  if (std::FILE* f = std::fopen(golden_path.c_str(), "w")) {
-    std::fputs(golden.c_str(), f);
-    std::fclose(f);
-  }
+  bench::write_golden("stream_scaling", golden);
 
   // Headline number: on the fat pipe, how much faster is 4 streams than 1
   // (both uncompressed) per technique?
   std::map<std::string, double> base_s, four_s;
   for (std::size_t i = 0; i < points.size(); ++i) {
     const Point& pt = points[i];
-    const migration::MigrationMetrics& m = runs[i].migration;
+    const migration::MigrationMetrics& m = runs[i];
     if (std::strcmp(pt.scenario, "fat") != 0 ||
         pt.compression != Compression::kOff || !m.completed) {
       continue;

@@ -111,12 +111,11 @@ std::size_t MigrationOrchestrator::link_load(const host::Host* source,
 
 Bytes MigrationOrchestrator::committed_bytes(host::Host* host) const {
   Bytes committed = host->config().host_os_bytes;
-  for (std::size_t i = 0; i < testbed_->vm_count(); ++i) {
-    const VmHandle& h = testbed_->vm_at(i);
-    if (!host->has_vm(h.machine)) continue;
-    Bytes claim = h.machine->memory().resident_bytes();
+  for (std::size_t i = 0; i < host->vm_count(); ++i) {
+    const vm::VirtualMachine* machine = host->vm_at(i);
+    Bytes claim = machine->memory().resident_bytes();
     for (const Entry& e : entries_) {
-      if (e.handle == &h) {
+      if (e.handle->machine == machine) {
         claim = e.controller->wss_estimate();
         break;
       }

@@ -357,11 +357,4 @@ void Fleet::load_all() {
   }
 }
 
-std::size_t Fleet::host_index_of(const VmHandle* handle) const {
-  for (std::size_t i = 0; i < bed->host_count(); ++i) {
-    if (bed->host_at(i)->has_vm(handle->machine)) return i;
-  }
-  return static_cast<std::size_t>(-1);
-}
-
 }  // namespace agile::core::scenarios

@@ -251,9 +251,6 @@ struct Fleet {
   /// schedules the hotspot step: at `hot_at` the first `hot_vms` clients
   /// widen their active sets to `hot_active` simultaneously.
   void load_all();
-
-  /// Host index a VM currently resides on (for reports).
-  std::size_t host_index_of(const VmHandle* handle) const;
 };
 
 /// Builds the fleet testbed, VMs, workloads and orchestrator (all VMs

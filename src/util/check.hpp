@@ -30,6 +30,7 @@
 // silently vanish from non-AGILE_AUDIT builds.
 #pragma once
 
+#include <memory>
 #include <sstream>
 #include <string>
 
@@ -40,43 +41,38 @@ namespace detail {
 [[noreturn]] void check_failed(const char* file, int line, const char* expr,
                                const std::string& msg);
 
-/// Failure-message accumulator behind the streamed check tiers. Holds no
-/// buffer when the check passed; aborts from the destructor when it failed,
-/// after the caller's streamed context has been collected.
+/// Failure-message accumulator behind the streamed check tiers. A passing
+/// check holds no buffer: the stream is allocated only when the check failed,
+/// and the destructor then aborts with the caller's streamed context.
 class CheckStream {
  public:
   CheckStream() = default;
   CheckStream(const char* file, int line, const char* expr)
-      : failed_(true), file_(file), line_(line), expr_(expr) {}
+      : file_(file),
+        line_(line),
+        expr_(expr),
+        os_(std::make_unique<std::ostringstream>()) {}
 
-  CheckStream(CheckStream&& other) noexcept
-      : failed_(other.failed_),
-        file_(other.file_),
-        line_(other.line_),
-        expr_(other.expr_),
-        os_(std::move(other.os_)) {
-    other.failed_ = false;
-  }
+  CheckStream(CheckStream&&) noexcept = default;
   CheckStream(const CheckStream&) = delete;
   CheckStream& operator=(const CheckStream&) = delete;
   CheckStream& operator=(CheckStream&&) = delete;
 
   ~CheckStream() {
-    if (failed_) check_failed(file_, line_, expr_, os_.str());
+    if (os_ != nullptr) check_failed(file_, line_, expr_, os_->str());
   }
 
   template <typename T>
   CheckStream& operator<<(const T& v) {
-    if (failed_) os_ << v;
+    if (os_ != nullptr) *os_ << v;
     return *this;
   }
 
  private:
-  bool failed_ = false;
   const char* file_ = nullptr;
   int line_ = 0;
   const char* expr_ = nullptr;
-  std::ostringstream os_;
+  std::unique_ptr<std::ostringstream> os_;  ///< Non-null iff the check failed.
 };
 
 inline CheckStream make_check(bool ok, const char* file, int line,

@@ -22,6 +22,17 @@ TEST(CheckTest, PassingChecksAreSilent) {
   AGILE_DCHECK_LE(3, 4);
 }
 
+// A passing streamed check must not build a failure buffer. Bitmap::
+// deep_audit evaluates one AGILE_CHECK_S per bit, and an embedded
+// std::ostringstream, built and destroyed on every evaluation, made the
+// audited quick fleet_topology run 11x slower than with the stream built
+// on failure only.
+TEST(CheckTest, PassingStreamedCheckHoldsNoBuffer) {
+  static_assert(sizeof(detail::CheckStream) <= 4 * sizeof(void*),
+                "CheckStream must stay a few pointers; build the message "
+                "stream only when the check fails");
+}
+
 TEST(CheckDeathTest, CheckAborts) {
   EXPECT_DEATH(AGILE_CHECK(1 == 2), "AGILE_CHECK failed");
 }

@@ -3,11 +3,9 @@
 // *correct* usage of every annotated primitive in util/thread_annotations.hpp.
 // It must stay warning-free — it is the positive control next to
 // thread_safety_violation.cpp, and it instantiates the annotated header-only
-// templates (ThreadPool::submit, the bench run cache) so their bodies are
-// analyzed too.
+// template ThreadPool::submit so its body is analyzed too.
 //
 // Not part of any CMake target: the default (GCC) build never sees it.
-#include "run_cache.hpp"
 #include "util/thread_annotations.hpp"
 #include "util/thread_pool.hpp"
 
@@ -56,14 +54,8 @@ int fixture_pool() {
   return pool.submit([] { return 7; }).get();
 }
 
-agile::bench::CachedRun fixture_run_cache() {
-  return agile::bench::cached_run("thread_safety_fixture",
-                                  [] { return agile::bench::CachedRun{}; });
-}
-
 }  // namespace
 
 int thread_safety_clean_fixture() {
-  return fixture_guarded() + fixture_pool() +
-         static_cast<int>(fixture_run_cache().avg_perf);
+  return fixture_guarded() + fixture_pool();
 }

@@ -1,35 +1,17 @@
-// Parallel sweep execution: result ordering, run-cache concurrency safety,
-// and — the property everything rests on — bit-identical results whether a
-// sweep point runs serially or on a pool worker.
+// Parallel sweep execution: result ordering and — the property everything
+// rests on — bit-identical results whether a sweep point runs serially or on
+// a pool worker.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdio>
-#include <cstdlib>
-#include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "core/scenarios.hpp"
 #include "parallel_sweep.hpp"
-#include "run_cache.hpp"
-#include "util/thread_pool.hpp"
 
 namespace agile::bench {
 namespace {
 
-// Point the bench cache at a test-local directory and neutralize the mode
-// knobs before any test touches out_dir() (which latches on first use).
-const bool g_env_ready = [] {
-  ::setenv("AGILE_BENCH_OUT", "parallel_sweep_test_out", 1);
-  ::unsetenv("AGILE_BENCH_FRESH");
-  ::unsetenv("AGILE_BENCH_QUICK");
-  ::unsetenv("AGILE_BENCH_JOBS");
-  return true;
-}();
-
 TEST(ParallelSweep, MapPreservesInputOrder) {
-  ASSERT_TRUE(g_env_ready);
   std::vector<int> points;
   for (int i = 0; i < 100; ++i) points.push_back(i);
   ParallelSweep sweep(4);
@@ -47,97 +29,6 @@ TEST(ParallelSweep, SingleJobRunsInline) {
   std::vector<int> points = {1, 2, 3};
   std::vector<int> out = sweep.map(points, [](const int& v) { return v + 1; });
   EXPECT_EQ(out, (std::vector<int>{2, 3, 4}));
-}
-
-TEST(RunCache, ConcurrentSameKeyComputesOnce) {
-  std::remove(cache_path("test_once_key").c_str());  // drop prior-run state
-  std::atomic<int> computed{0};
-  auto compute = [&computed] {
-    computed.fetch_add(1);
-    CachedRun r;
-    r.migration.bytes_transferred = 12345;
-    r.avg_perf = 6.5;
-    return r;
-  };
-  util::ThreadPool pool(4);
-  std::vector<std::future<CachedRun>> futures;
-  for (int i = 0; i < 16; ++i) {
-    futures.push_back(
-        pool.submit([&] { return cached_run("test_once_key", compute); }));
-  }
-  for (auto& f : futures) {
-    CachedRun r = f.get();
-    EXPECT_EQ(r.migration.bytes_transferred, 12345u);
-    EXPECT_DOUBLE_EQ(r.avg_perf, 6.5);
-  }
-  EXPECT_EQ(computed.load(), 1);
-}
-
-// Regression test: a compute that throws used to leave its exception-holding
-// future in the in-flight table forever, so every later cached_run(key)
-// rethrew the stale exception instead of retrying. The failed attempt must
-// be retired from the table (found by lane-audit review of the run cache).
-TEST(RunCache, FailedComputeRetriesInsteadOfCachingTheThrow) {
-  std::remove(cache_path("test_retry_key").c_str());  // drop prior-run state
-  int calls = 0;
-  auto compute = [&calls] {
-    if (++calls == 1) throw std::runtime_error("transient failure");
-    CachedRun r;
-    r.avg_perf = 42.0;
-    return r;
-  };
-  EXPECT_THROW(cached_run("test_retry_key", compute), std::runtime_error);
-  CachedRun r = cached_run("test_retry_key", compute);
-  EXPECT_EQ(calls, 2);
-  EXPECT_DOUBLE_EQ(r.avg_perf, 42.0);
-  // And the successful retry is cached like any other result.
-  CachedRun again = cached_run("test_retry_key", compute);
-  EXPECT_EQ(calls, 2);
-  EXPECT_DOUBLE_EQ(again.avg_perf, 42.0);
-}
-
-TEST(RunCache, RoundTripsThroughDisk) {
-  CachedRun r;
-  r.migration.start_time = 100;
-  r.migration.switchover_time = 200;
-  r.migration.end_time = 321;
-  r.migration.downtime = 17;
-  r.migration.bytes_transferred = 1_GiB;
-  r.migration.pages_sent_full = 11;
-  r.migration.pages_sent_descriptor = 22;
-  r.migration.pages_demand_served = 33;
-  r.migration.pages_swapped_in_at_source = 44;
-  r.migration.duplicate_pages = 55;
-  r.migration.precopy_rounds = 3;
-  r.migration.completed = true;
-  r.avg_perf = 123.456;
-  store_cached("test_roundtrip", r);
-
-  auto loaded = load_cached("test_roundtrip");
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->migration.start_time, r.migration.start_time);
-  EXPECT_EQ(loaded->migration.end_time, r.migration.end_time);
-  EXPECT_EQ(loaded->migration.bytes_transferred, r.migration.bytes_transferred);
-  EXPECT_EQ(loaded->migration.precopy_rounds, r.migration.precopy_rounds);
-  EXPECT_EQ(loaded->migration.completed, r.migration.completed);
-  EXPECT_DOUBLE_EQ(loaded->avg_perf, r.avg_perf);
-}
-
-TEST(RunCache, GarbledEntryIsAMissNotPartialMetrics) {
-  std::FILE* f = std::fopen(cache_path("test_garbled").c_str(), "w");
-  ASSERT_NE(f, nullptr);
-  std::fprintf(f, "%s 100 200", kCacheFormatTag);  // truncated field list
-  std::fclose(f);
-  EXPECT_FALSE(load_cached("test_garbled").has_value());
-}
-
-TEST(RunCache, FormatVersionMismatchIsAMiss) {
-  std::FILE* f = std::fopen(cache_path("test_oldformat").c_str(), "w");
-  ASSERT_NE(f, nullptr);
-  // The seed's untagged v1 layout: 13 numeric fields, no tag.
-  std::fprintf(f, "0 1 2 3 4 5 6 7 8 9 1 1 2.5\n");
-  std::fclose(f);
-  EXPECT_FALSE(load_cached("test_oldformat").has_value());
 }
 
 // The tentpole determinism guarantee: a Fig-7 sweep point produces identical
@@ -189,19 +80,6 @@ TEST(ParallelSweep, SingleVmPointDeterministicAcrossScheduling) {
     EXPECT_EQ(a.precopy_rounds, b.precopy_rounds) << "point " << i;
     EXPECT_EQ(a.completed, b.completed) << "point " << i;
   }
-}
-
-// A cache store that cannot open its file must warn on stderr — the result
-// silently not being cached is acceptable, the silence is not (see the
-// matching stats-export warning test in stats_test.cpp).
-TEST(RunCache, StoreFailureWarnsInsteadOfSilentlyDropping) {
-  CachedRun r;
-  r.migration.completed = true;
-  testing::internal::CaptureStderr();
-  store_cached("nosuchdir/key", r);  // out_dir()/cache_nosuchdir/ is absent
-  std::string err = testing::internal::GetCapturedStderr();
-  EXPECT_NE(err.find("bench cache: cannot write"), std::string::npos);
-  EXPECT_NE(err.find("result not cached"), std::string::npos);
 }
 
 }  // namespace

@@ -8,7 +8,7 @@ Usage:
 
 Every bench binary writes a `BENCH_<name>.json` footer into its output
 directory (see bench/bench_common.hpp): bench name, quick/full mode, wall
-seconds, job count, cache hit split, total simulated events and the headline
+seconds, job count, runs executed, total simulated events and the headline
 `events_per_sec` throughput. A single footer is a point; this tool makes
 them a line:
 
@@ -42,7 +42,7 @@ DEFAULT_THRESHOLD_PCT = 10.0
 
 # Footer fields copied into each trajectory entry, footer order.
 FOOTER_FIELDS = (
-    "bench", "quick", "wall_seconds", "jobs", "runs_executed", "runs_cached",
+    "bench", "quick", "wall_seconds", "jobs", "runs_executed",
     "runs_incomplete", "incomplete", "sim_events", "events_per_sec",
 )
 
@@ -157,7 +157,7 @@ def self_test():
 
         def write_footer(bench, eps, quick=True, jobs=1):
             footer = {"bench": bench, "quick": quick, "wall_seconds": 1.0,
-                      "jobs": jobs, "runs_executed": 4, "runs_cached": 0,
+                      "jobs": jobs, "runs_executed": 4,
                       "runs_incomplete": 0, "incomplete": False,
                       "sim_events": 1000, "events_per_sec": eps}
             with open(os.path.join(out_dir, f"BENCH_{bench}.json"), "w",

@@ -6,7 +6,7 @@
 #   1. every TU under src/ must be thread-safety-clean with the diagnostics
 #      promoted to errors;
 #   2. tests/fixtures/thread_safety_clean.cpp must compile (positive control;
-#      also instantiates the annotated header-only templates in bench/);
+#      also instantiates the annotated header-only ThreadPool::submit);
 #   3. tests/fixtures/thread_safety_violation.cpp must be REJECTED with a
 #      thread-safety diagnostic (negative control: proves the analysis is
 #      armed, not silently inert).
@@ -51,9 +51,9 @@ while IFS= read -r tu; do
   fi
 done < <(find src -name '*.cpp' | sort)
 
-# Pass 2: positive control (also analyzes ThreadPool::submit and the bench
-# run-cache template bodies via instantiation).
-if ! "$CLANG" "${FLAGS[@]}" -Ibench tests/fixtures/thread_safety_clean.cpp; then
+# Pass 2: positive control (also analyzes the ThreadPool::submit template
+# body via instantiation).
+if ! "$CLANG" "${FLAGS[@]}" tests/fixtures/thread_safety_clean.cpp; then
   echo "thread-safety: FAIL tests/fixtures/thread_safety_clean.cpp"
   fail=1
 fi

@@ -2,9 +2,9 @@
 """Determinism lint for the agile-migration simulator.
 
 The simulator's contract is bit-for-bit reproducible runs: identical seeds and
-configs must produce identical metrics (the golden tests depend on it, and so
-does the run cache). This lint bans the constructs that silently break that
-contract:
+configs must produce identical metrics (the golden tests and the bench
+determinism harness depend on it). This lint bans the constructs that
+silently break that contract:
 
   wall-clock   std::chrono::system_clock / steady_clock /
                high_resolution_clock, time(), gettimeofday, clock_gettime —
