@@ -16,8 +16,14 @@
 //     source (scatter-gather, the authors' companion technique, is built
 //     for exactly this).
 //
-// Every section is a sweep of independent runs, so each fans across the
-// shared ParallelSweep pool; rows print in fixed order afterwards.
+// Sections share runs: A's one-server point is C's default send window and
+// D's memory-only tier, and B's three protocols are E's pressured single-VM
+// runs. Each distinct configuration therefore runs once across the shared
+// ParallelSweep pool, and the tables print from the results in fixed order
+// afterwards.
+#include <algorithm>
+#include <map>
+
 #include "bench_common.hpp"
 #include "core/scenarios.hpp"
 #include "parallel_sweep.hpp"
@@ -28,18 +34,25 @@ namespace scen = core::scenarios;
 
 namespace {
 
-migration::MigrationMetrics run_pressured_agile(
-    std::uint32_t vmd_servers, Bytes server_capacity, Bytes server_disk,
-    migration::MigrationConfig mig_cfg = {}) {
+/// One pressured Agile run: VMD shape and stream send window.
+struct AgilePoint {
+  std::uint32_t vmd_servers;
+  Bytes server_capacity;
+  Bytes server_disk;
+  Bytes send_window;
+  auto operator<=>(const AgilePoint&) const = default;
+};
+
+migration::MigrationMetrics run_pressured_agile(const AgilePoint& point) {
   const bool quick = bench::quick_mode();
   core::TestbedConfig cfg;
   cfg.source.ram = quick ? 1_GiB : 2_GiB;
   cfg.source.host_os_bytes = 64_MiB;
   cfg.dest = cfg.source;
   cfg.dest.name = "dest";
-  cfg.vmd_servers = vmd_servers;
-  cfg.vmd_server_capacity = server_capacity;
-  cfg.vmd_server_disk = server_disk;
+  cfg.vmd_servers = point.vmd_servers;
+  cfg.vmd_server_capacity = point.server_capacity;
+  cfg.vmd_server_disk = point.server_disk;
   core::Testbed bed(cfg);
 
   core::VmSpec spec;
@@ -63,6 +76,8 @@ migration::MigrationMetrics run_pressured_agile(
   bed.source()->ssd()->advance(sec(3600));
   bed.cluster().run_for_seconds(10);
 
+  migration::MigrationConfig mig_cfg;
+  mig_cfg.send_window = point.send_window;
   auto mig = bed.make_migration(Technique::kAgile, h, 0, mig_cfg);
   mig->start();
   double deadline = bed.cluster().now_seconds() + (quick ? 1200 : 3600);
@@ -101,25 +116,66 @@ migration::MigrationMetrics run_single_vm_pressured(Technique technique) {
   return sc.migration->metrics();
 }
 
+/// Runs each distinct point of `points` once across `sweep`; returns the
+/// metrics keyed by point.
+template <typename Point, typename Fn>
+std::map<Point, migration::MigrationMetrics> run_distinct(
+    bench::ParallelSweep& sweep, std::vector<Point> points, Fn&& fn) {
+  std::sort(points.begin(), points.end());
+  points.erase(std::unique(points.begin(), points.end()), points.end());
+  std::vector<migration::MigrationMetrics> runs = sweep.map(points, fn);
+  std::map<Point, migration::MigrationMetrics> by_point;
+  for (std::size_t i = 0; i < points.size(); ++i) by_point[points[i]] = runs[i];
+  return by_point;
+}
+
 }  // namespace
 
 int main() {
   bench::banner("Ablations: VMD server count, descriptors, send window, disk tier");
   const bool quick = bench::quick_mode();
   const Bytes pool_total = quick ? 4_GiB : 16_GiB;
+  const Bytes default_window = migration::MigrationConfig{}.send_window;
   bench::ParallelSweep sweep;
+
+  const std::vector<std::uint32_t> counts = {1, 2, 4};
+  const std::vector<Bytes> windows = {1_MiB, 4_MiB, 16_MiB, 32_MiB, 64_MiB};
+  struct TierPoint {
+    const char* label;
+    Bytes memory;
+    Bytes disk;
+  };
+  const std::vector<TierPoint> tiers = {
+      {quick ? "4 GiB memory" : "16 GiB memory", pool_total, 0},
+      {quick ? "256 MiB memory + 4 GiB disk" : "1 GiB memory + 16 GiB disk",
+       quick ? 256_MiB : 1_GiB, pool_total}};
+  auto count_point = [&](std::uint32_t n) {
+    return AgilePoint{n, pool_total / n, 0, default_window};
+  };
+  auto window_point = [&](Bytes window) {
+    return AgilePoint{1, pool_total, 0, window};
+  };
+  auto tier_point = [&](const TierPoint& tier) {
+    return AgilePoint{1, tier.memory, tier.disk, default_window};
+  };
+  std::vector<AgilePoint> agile_points;
+  for (std::uint32_t n : counts) agile_points.push_back(count_point(n));
+  for (Bytes w : windows) agile_points.push_back(window_point(w));
+  for (const TierPoint& tier : tiers) agile_points.push_back(tier_point(tier));
+  const std::vector<Technique> techniques = {
+      Technique::kPrecopy, Technique::kPostcopy, Technique::kAgile,
+      Technique::kScatterGather};
+  const auto agile_runs = run_distinct(sweep, agile_points, run_pressured_agile);
+  const auto single_runs =
+      run_distinct(sweep, techniques, run_single_vm_pressured);
 
   // --- A: intermediate host count -----------------------------------------
   {
-    std::vector<std::uint32_t> counts = {1, 2, 4};
-    auto runs = sweep.map(counts, [&](std::uint32_t n) {
-      return run_pressured_agile(n, pool_total / n, 0);
-    });
     metrics::Table t({"VMD servers", "migration time (s)", "wire (MiB)",
                       "post-migration cold-read ops/s"});
-    for (std::size_t i = 0; i < counts.size(); ++i) {
-      const auto& m = runs[i];
-      t.add_row({std::to_string(counts[i]), bench::migration_time_cell(m),
+    for (std::uint32_t n : counts) {
+      const auto& m = agile_runs.at(count_point(n));
+      t.add_row({std::to_string(n), bench::migration_time_cell(m),
                  metrics::Table::num(to_mib(m.bytes_transferred), 0),
                  std::to_string(m.pages_swap_faulted)});
     }
@@ -129,15 +185,13 @@ int main() {
 
   // --- B: descriptors vs shipping cold pages ------------------------------
   {
-    std::vector<Technique> techniques = {Technique::kAgile, Technique::kPostcopy,
-                                         Technique::kPrecopy};
-    auto runs = sweep.map(techniques, run_single_vm_pressured);
     metrics::Table t({"protocol", "migration time (s)", "wire (MiB)"});
-    for (std::size_t i = 0; i < techniques.size(); ++i) {
-      const auto& m = runs[i];
-      t.add_row({techniques[i] == Technique::kAgile
+    for (Technique technique : {Technique::kAgile, Technique::kPostcopy,
+                                Technique::kPrecopy}) {
+      const auto& m = single_runs.at(technique);
+      t.add_row({technique == Technique::kAgile
                      ? "agile (descriptors)"
-                     : (techniques[i] == Technique::kPostcopy
+                     : (technique == Technique::kPostcopy
                             ? "cold pages shipped once (post-copy)"
                             : "cold pages shipped + retransmits (pre-copy)"),
                  bench::migration_time_cell(m),
@@ -148,16 +202,10 @@ int main() {
 
   // --- C: send window -------------------------------------------------------
   {
-    std::vector<Bytes> windows = {1_MiB, 4_MiB, 16_MiB, 32_MiB, 64_MiB};
-    auto runs = sweep.map(windows, [&](Bytes window) {
-      migration::MigrationConfig mc;
-      mc.send_window = window;
-      return run_pressured_agile(1, pool_total, 0, mc);
-    });
     metrics::Table t({"send window (MiB)", "migration time (s)"});
-    for (std::size_t i = 0; i < windows.size(); ++i) {
-      t.add_row({metrics::Table::num(to_mib(windows[i]), 0),
-                 bench::migration_time_cell(runs[i])});
+    for (Bytes window : windows) {
+      t.add_row({metrics::Table::num(to_mib(window), 0),
+                 bench::migration_time_cell(agile_runs.at(window_point(window)))});
     }
     std::printf("\nC. Stream send window (must cover a scheduling quantum of "
                 "line rate):\n%s",
@@ -166,14 +214,10 @@ int main() {
 
   // --- E: source eviction speed --------------------------------------------
   {
-    std::vector<Technique> techniques = {Technique::kPrecopy, Technique::kPostcopy,
-                                         Technique::kAgile,
-                                         Technique::kScatterGather};
-    auto runs = sweep.map(techniques, run_single_vm_pressured);
     metrics::Table t({"technique", "source freed after (s)", "direct-channel (MiB)"});
-    for (std::size_t i = 0; i < techniques.size(); ++i) {
-      const auto& m = runs[i];
-      t.add_row({core::technique_name(techniques[i]),
+    for (Technique technique : techniques) {
+      const auto& m = single_runs.at(technique);
+      t.add_row({core::technique_name(technique),
                  bench::migration_time_cell(m),
                  metrics::Table::num(to_mib(m.bytes_transferred), 0)});
     }
@@ -183,23 +227,11 @@ int main() {
 
   // --- D: VMD disk tier ------------------------------------------------------
   {
-    struct TierPoint {
-      const char* label;
-      Bytes memory;
-      Bytes disk;
-    };
-    std::vector<TierPoint> tiers = {
-        {quick ? "4 GiB memory" : "16 GiB memory", pool_total, 0},
-        {quick ? "256 MiB memory + 4 GiB disk" : "1 GiB memory + 16 GiB disk",
-         quick ? 256_MiB : 1_GiB, pool_total}};
-    auto runs = sweep.map(tiers, [&](const TierPoint& tier) {
-      return run_pressured_agile(1, tier.memory, tier.disk);
-    });
     metrics::Table t({"VMD config", "migration time (s)",
                       "post-migration cold-read ops/s"});
-    for (std::size_t i = 0; i < tiers.size(); ++i) {
-      const auto& m = runs[i];
-      t.add_row({tiers[i].label, bench::migration_time_cell(m),
+    for (const TierPoint& tier : tiers) {
+      const auto& m = agile_runs.at(tier_point(tier));
+      t.add_row({tier.label, bench::migration_time_cell(m),
                  std::to_string(m.pages_swap_faulted)});
     }
     std::printf("\nD. Disk-tier spill (paper §IV-A extension): migration is "

@@ -178,10 +178,9 @@ void BM_VmdWriteReadPair(benchmark::State& state) {
   net::Network net;
   net::NodeId client_node = net.add_node("c");
   net::NodeId server_node = net.add_node("s");
-  vmd::VmdServer server("s", server_node, {.capacity = 32_GiB, .service_time = 3});
-  vmd::VmdClient client(&net, client_node);
-  client.register_server(&server);
-  vmd::VmdSwapDevice dev("blk", &client, 16_GiB);
+  vmd::VmdServer server(server_node, {.capacity = 32_GiB, .service_time = 3});
+  vmd::VmdSwapDevice dev("blk", &net, client_node, 16_GiB);
+  dev.register_server(&server);
   for (auto _ : state) {
     swap::SwapSlot slot = dev.allocate_slot();
     dev.write_page(slot);

@@ -1,7 +1,5 @@
 #include "core/fleet_stats.hpp"
 
-#include <cstdio>
-
 #include "core/migration_orchestrator.hpp"
 
 namespace agile::core {
@@ -94,9 +92,7 @@ void FleetStatsCollector::register_static_metrics() {
   }
   vmd_cells_.resize(bed_->vmd_server_count());
   for (std::size_t i = 0; i < bed_->vmd_server_count(); ++i) {
-    char idx[16];
-    std::snprintf(idx, sizeof(idx), "%zu", i);
-    const stats::Labels l = {{"server", idx}};
+    const stats::Labels l = {{"server", std::to_string(i)}};
     VmdCells& c = vmd_cells_[i];
     c.used = registry_->gauge("agile_vmd_used_bytes", l,
                               "VMD memory tier bytes in use");

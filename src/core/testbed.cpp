@@ -28,14 +28,13 @@ Testbed::Testbed(TestbedConfig config)
   }
   client_node_ = cluster_.add_client_node("clients");
   for (std::uint32_t i = 0; i < config_.vmd_servers; ++i) {
-    std::string name = "intermediate" + std::to_string(i + 1);
-    net::NodeId node = cluster_.add_client_node(name);
+    net::NodeId node =
+        cluster_.add_client_node("intermediate" + std::to_string(i + 1));
     vmd::VmdServerConfig server_cfg;
     server_cfg.capacity = config_.vmd_server_capacity;
     server_cfg.service_time = 3;
     server_cfg.disk_capacity = config_.vmd_server_disk;
-    vmd_servers_.push_back(
-        std::make_unique<vmd::VmdServer>(name, node, server_cfg));
+    vmd_servers_.push_back(std::make_unique<vmd::VmdServer>(node, server_cfg));
   }
   if (!vmd_servers_.empty()) {
     // Intermediate hosts are not full Host objects; drain their (optional)
@@ -66,22 +65,18 @@ VmHandle& Testbed::create_vm(const VmSpec& spec) {
   if (spec.swap == SwapBinding::kPerVmDevice) {
     AGILE_CHECK_MSG(!vmd_servers_.empty(),
                     "per-VM swap requested but the testbed has no VMD servers");
-    // One client module per VM keeps the namespace attachment portable
+    // One device per VM keeps the namespace attachment portable
     // independently of other VMs on the host.
-    auto client = std::make_unique<vmd::VmdClient>(&cluster_.network(),
-                                                   home->node());
-    for (auto& server : vmd_servers_) client->register_server(server.get());
     Bytes capacity = spec.per_vm_swap_capacity == 0 ? 2 * spec.memory
                                                     : spec.per_vm_swap_capacity;
-    auto device = std::make_unique<vmd::VmdSwapDevice>("blk:" + spec.name,
-                                                       client.get(), capacity);
+    auto device = std::make_unique<vmd::VmdSwapDevice>(
+        "blk:" + spec.name, &cluster_.network(), home->node(), capacity);
+    for (auto& server : vmd_servers_) device->register_server(server.get());
     swap_device = device.get();
-    handle->vmd_client = client.get();
     handle->per_vm_swap = device.get();
     heartbeats_.push_back(cluster_.simulation().schedule_periodic(
         config_.vmd_heartbeat,
-        [c = client.get()](SimTime) { c->update_availability(); }));
-    vmd_clients_.push_back(std::move(client));
+        [d = device.get()](SimTime) { d->update_availability(); }));
     vmd_devices_.push_back(std::move(device));
   } else {
     swap_device = home->swap_partition();

@@ -72,7 +72,6 @@ struct VmHandle {
   vm::VirtualMachine* machine = nullptr;
   workload::Workload* load = nullptr;          ///< Null until attached.
   vmd::VmdSwapDevice* per_vm_swap = nullptr;   ///< Null for host binding.
-  vmd::VmdClient* vmd_client = nullptr;        ///< Null for host binding.
 };
 
 class Testbed {
@@ -162,7 +161,6 @@ class Testbed {
   std::vector<host::Host*> hosts_;
   net::NodeId client_node_;
   std::vector<std::unique_ptr<vmd::VmdServer>> vmd_servers_;
-  std::vector<std::unique_ptr<vmd::VmdClient>> vmd_clients_;
   std::vector<std::unique_ptr<vmd::VmdSwapDevice>> vmd_devices_;
   std::vector<std::unique_ptr<VmHandle>> vms_;
   std::vector<std::shared_ptr<sim::PeriodicTask>> heartbeats_;

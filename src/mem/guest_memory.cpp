@@ -37,11 +37,6 @@ GuestMemory::GuestMemory(const GuestMemoryConfig& config,
   if (audit::enabled()) deep_audit();
 }
 
-void GuestMemory::set_swap_device(swap::SwapDevice* device) {
-  AGILE_CHECK(device != nullptr);
-  swap_ = device;
-}
-
 std::uint64_t GuestMemory::untouched_pages() const {
   return page_count_ - touched_.count();
 }

@@ -88,11 +88,6 @@ class GuestMemory {
   /// walking the state array page by page.
   const Bitmap& swapped_bitmap() const { return swapped_; }
 
-  /// Pages that ever left kUntouched (equivalently: state != kUntouched).
-  /// Word-scanning this keeps teardown and WSS probes O(touched) even on
-  /// mostly-untouched memories.
-  const Bitmap& touched_bitmap() const { return touched_; }
-
   /// Zero-page classification (see GuestMemoryConfig::zero_page_fraction).
   /// True when page `p` is touched but its content is all zeroes, so a
   /// migration sender may ship a descriptor instead of the 4 KiB payload.
@@ -118,7 +113,6 @@ class GuestMemory {
   }
 
   swap::SwapDevice* swap_device() const { return swap_; }
-  void set_swap_device(swap::SwapDevice* device);
 
   // --- Runtime access path -------------------------------------------------
 
@@ -170,7 +164,6 @@ class GuestMemory {
   /// Attaches a dirty log; every subsequent write sets the page's bit.
   void attach_dirty_log(Bitmap* log) { dirty_log_ = log; }
   void detach_dirty_log() { dirty_log_ = nullptr; }
-  Bitmap* dirty_log() const { return dirty_log_; }
 
   /// Swap-in on behalf of the migration manager (pre-copy reading a swapped
   /// page to transfer it). The page becomes resident and may evict a victim —
@@ -352,7 +345,10 @@ class GuestMemory {
   };
   std::vector<PageLru> page_lru_;
 
-  Bitmap touched_;  ///< state != kUntouched (see touched_bitmap()).
+  /// Pages that ever left kUntouched (equivalently: state != kUntouched).
+  /// Word-scanning this keeps teardown and WSS probes O(touched) even on
+  /// mostly-untouched memories.
+  Bitmap touched_;
   Bitmap swapped_;  ///< state == kSwapped (see swapped_bitmap()).
   std::uint64_t remote_count_ = 0;
 

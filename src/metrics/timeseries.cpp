@@ -16,12 +16,6 @@ double TimeSeries::mean_between(double t0, double t1) const {
   return n == 0 ? 0.0 : sum / static_cast<double>(n);
 }
 
-double TimeSeries::max_value() const {
-  double best = 0;
-  for (const Sample& s : samples_) best = std::max(best, s.value);
-  return best;
-}
-
 double TimeSeries::max_between(double t0, double t1) const {
   double best = 0;
   for (const Sample& s : samples_) {

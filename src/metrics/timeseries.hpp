@@ -39,9 +39,6 @@ class TimeSeries {
   /// Mean of samples with t in [t0, t1]. 0 if none.
   double mean_between(double t0, double t1) const;
 
-  /// Max value over the whole series (0 if empty).
-  double max_value() const;
-
   /// Max value among samples with t in [t0, t1] (0 if none).
   double max_between(double t0, double t1) const;
 

@@ -289,7 +289,6 @@ void MigrationManager::maybe_finish_push() {
 void MigrationManager::set_phase(int code, const char* name) {
   if (phase_code_ == code) return;
   phase_code_ = code;
-  phase_name_ = name;
   AGILE_TRACE_INSTANT("migration", name, trace_id(),
                       static_cast<double>(code));
 }
@@ -401,7 +400,6 @@ void MigrationManager::finish() {
                  technique(), params_.machine->name().c_str(),
                  to_seconds(metrics_.total_time()),
                  to_mib(metrics_.bytes_transferred));
-  if (on_complete_) on_complete_();
 }
 
 }  // namespace agile::migration

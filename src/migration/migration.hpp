@@ -126,9 +126,6 @@ class MigrationManager {
   bool completed() const { return metrics_.completed; }
   const MigrationMetrics& metrics() const { return metrics_; }
 
-  /// Fires once when the migration completes.
-  void set_on_complete(std::function<void()> fn) { on_complete_ = std::move(fn); }
-
   /// Fires at switchover, once the VM runs at the destination. The core
   /// layer uses it to re-attach a portable per-VM swap device there.
   void set_on_switchover(std::function<void()> fn) {
@@ -144,12 +141,12 @@ class MigrationManager {
 
   virtual const char* technique() const = 0;
 
-  /// Engine phase for observability: a small engine-defined code plus a
-  /// stable human-readable name ("init", "live", "push", ...). Engines call
-  /// `set_phase` at every transition; the codes order monotonically within
-  /// one engine but are not comparable across techniques.
+  /// Engine phase for observability: a small engine-defined code. Engines
+  /// call `set_phase` at every transition with the code and a stable
+  /// human-readable name ("init", "live", "push", ...) for the trace; the
+  /// codes order monotonically within one engine but are not comparable
+  /// across techniques.
   int phase_code() const { return phase_code_; }
-  const char* phase_name() const { return phase_name_; }
 
   /// Pages the engine still owes the destination over the wire (dirty set /
   /// unsent scan remainder — *not* cold pages served from the swap device).
@@ -254,8 +251,8 @@ class MigrationManager {
   bool zero_elidable(PageIndex p) const;
   /// Trace entity id: the migrating VM's lane.
   std::uint64_t trace_id() const { return params_.machine->config().trace_id; }
-  /// Records a phase transition (see phase_code/phase_name). `name` must be
-  /// a string literal; also emits a trace instant on the migration track.
+  /// Records a phase transition (see phase_code). `name` must be a string
+  /// literal; it names the trace instant emitted on the migration track.
   void set_phase(int code, const char* name);
 
   host::Cluster* cluster_;
@@ -285,11 +282,9 @@ class MigrationManager {
 
   bool started_ = false;
   int phase_code_ = 0;
-  const char* phase_name_ = "init";
   SimTime suspend_time_ = -1;
   SimTime debt_ = 0;  ///< Thread time overdrawn from the last quantum.
   std::uint64_t hook_id_ = 0;
-  std::function<void()> on_complete_;
   std::function<void()> on_switchover_;
   std::function<void(MigrationManager*)> on_destroy_;
   Bytes wire_page_bytes_ = 0;     ///< Cached: header + compressed page body.

@@ -273,16 +273,6 @@ const NodeStats& Network::stats(NodeId node) const {
   return nodes_[node].stats;
 }
 
-double Network::link_utilization(LinkId id) const {
-  AGILE_CHECK(id < links_.size());
-  return links_[id].util;
-}
-
-Bytes Network::link_bytes_total(LinkId id) const {
-  AGILE_CHECK(id < links_.size());
-  return links_[id].bytes_total;
-}
-
 TierTotals Network::tier_totals(LinkTier tier) const {
   TierTotals totals;
   for (std::size_t l = 0; l < links_.size(); ++l) {

@@ -135,13 +135,6 @@ class Network {
 
   // --- Link/topology observability -----------------------------------
   const TopologyConfig& topology() const { return config_.topology; }
-  std::size_t link_count() const { return topo_.link_count(); }
-  LinkTier link_tier(LinkId id) const { return topo_.link(id).tier; }
-  double link_payload_rate(LinkId id) const { return topo_.link(id).payload_rate; }
-  /// Utilization (0..1) of one link over the last quantum.
-  double link_utilization(LinkId id) const;
-  /// Cumulative flow + background bytes carried by one link.
-  Bytes link_bytes_total(LinkId id) const;
   /// Aggregates every link of `tier` (zero-links TierTotals when the
   /// topology has none, e.g. leaf tiers on the flat shape).
   TierTotals tier_totals(LinkTier tier) const;

@@ -59,7 +59,6 @@ class LaneCoordinator {
   LaneCoordinator& operator=(const LaneCoordinator&) = delete;
 
   std::size_t lane_count() const { return lanes_; }
-  std::size_t channel_count() const { return channels_.size(); }
 
   /// Grows the channel set (new channels default to lane `index % lanes`).
   /// Only callable between windows.

@@ -16,52 +16,22 @@ Simulation::Event Simulation::pop_event() {
   return ev;
 }
 
-EventId Simulation::schedule_at(SimTime t, EventFn fn) {
+void Simulation::schedule_at(SimTime t, EventFn fn) {
   AGILE_CHECK_MSG(t >= now_, "cannot schedule into the past");
-  EventId id = next_id_++;
-  push_event(Event{t, next_seq_++, id, std::move(fn), nullptr});
-  return id;
-}
-
-bool Simulation::cancel(EventId id) {
-  if (id == 0 || id >= next_id_) return false;
-  auto it = std::find_if(heap_.begin(), heap_.end(),
-                         [id](const Event& ev) { return ev.id == id; });
-  // Not queued (already ran, already popped as a tombstone) or already
-  // cancelled: nothing to do. The old id-list bookkeeping returned true for
-  // events that had long since executed and leaked their ids forever,
-  // corrupting pending_events(); marking in place makes cancel exact.
-  if (it == heap_.end() || it->cancelled) return false;
-  it->cancelled = true;
-  it->fn = nullptr;  // Release the closure's captures eagerly.
-  ++cancelled_pending_;
-  return true;
+  push_event(Event{t, next_seq_++, std::move(fn), nullptr});
 }
 
 void Simulation::push_periodic(PeriodicTask* task, SimTime at) {
-  push_event(Event{at, next_seq_++, next_id_++, nullptr, task});
+  push_event(Event{at, next_seq_++, nullptr, task});
 }
 
 std::shared_ptr<PeriodicTask> Simulation::schedule_periodic(
-    SimTime period, std::function<void(SimTime)> fn, SimTime first_delay) {
+    SimTime period, std::function<void(SimTime)> fn) {
   AGILE_CHECK(period > 0);
   auto task = std::shared_ptr<PeriodicTask>(new PeriodicTask(period, std::move(fn)));
   tasks_.push_back(task);
-  SimTime delay = first_delay >= 0 ? first_delay : period;
-  push_periodic(task.get(), now_ + delay);
+  push_periodic(task.get(), now_ + period);
   return task;
-}
-
-void Simulation::purge_cancelled_top() {
-  while (!heap_.empty() && heap_.front().cancelled) {
-    --cancelled_pending_;
-    pop_event();
-  }
-}
-
-SimTime Simulation::next_event_time() {
-  purge_cancelled_top();
-  return heap_.empty() ? -1 : heap_.front().time;
 }
 
 void Simulation::audit_bind_thread() {
@@ -80,7 +50,6 @@ void Simulation::audit_bind_thread() {
 
 bool Simulation::step() {
   if (audit::enabled()) audit_bind_thread();
-  purge_cancelled_top();
   if (heap_.empty()) return false;
   Event ev = pop_event();
   AGILE_CHECK(ev.time >= now_);
@@ -113,15 +82,10 @@ void Simulation::run_until(SimTime t) {
   AGILE_CHECK(t >= now_);
   stopped_ = false;
   while (!stopped_) {
-    purge_cancelled_top();
     if (heap_.empty() || heap_.front().time > t) break;
     step();
   }
   if (!stopped_ && now_ < t) now_ = t;
-}
-
-std::size_t Simulation::pending_events() const {
-  return heap_.size() - cancelled_pending_;
 }
 
 }  // namespace agile::sim

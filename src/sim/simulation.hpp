@@ -28,7 +28,6 @@
 namespace agile::sim {
 
 using EventFn = std::function<void()>;
-using EventId = std::uint64_t;
 
 class Simulation;
 
@@ -64,30 +63,21 @@ class Simulation {
 
   SimTime now() const { return now_; }
 
-  /// Schedules `fn` at absolute time `t` (>= now). Returns an id usable with
-  /// `cancel`.
-  EventId schedule_at(SimTime t, EventFn fn);
+  /// Schedules `fn` at absolute time `t` (>= now).
+  void schedule_at(SimTime t, EventFn fn);
 
   /// Schedules `fn` `dt` after now.
-  EventId schedule_after(SimTime dt, EventFn fn) {
+  void schedule_after(SimTime dt, EventFn fn) {
     AGILE_CHECK(dt >= 0);
-    return schedule_at(now_ + dt, std::move(fn));
+    schedule_at(now_ + dt, std::move(fn));
   }
 
-  /// Cancels a pending event. Returns false if it already ran or was
-  /// cancelled. Cancellation marks the queued entry in place (a tombstone
-  /// skipped on pop): one O(pending) scan here instead of a cancelled-id
-  /// list consulted on every pop, which degraded to O(pending × cancelled)
-  /// under timeout-heavy runs.
-  bool cancel(EventId id);
-
-  /// Registers a periodic task firing every `period`, first at
-  /// `now + first_delay` (default: one period from now). The task receives
-  /// the current simulated time. The returned handle stays valid until the
-  /// simulation is destroyed.
-  std::shared_ptr<PeriodicTask> schedule_periodic(SimTime period,
-                                                  std::function<void(SimTime)> fn,
-                                                  SimTime first_delay = -1);
+  /// Registers a periodic task firing every `period`, first one period from
+  /// now. The task receives the current simulated time. The returned handle
+  /// stays valid until the simulation is destroyed; `PeriodicTask::cancel`
+  /// stops it.
+  std::shared_ptr<PeriodicTask> schedule_periodic(
+      SimTime period, std::function<void(SimTime)> fn);
 
   /// Runs events until the queue is exhausted or `stop()` is called.
   void run();
@@ -105,14 +95,15 @@ class Simulation {
   /// the lane coordinator — interleave their own work with `step()` calls).
   void clear_stop() { stopped_ = false; }
 
-  /// Time of the earliest pending (non-cancelled) event, or -1 when the
-  /// queue is empty. Purges tombstones at the top as a side effect.
-  SimTime next_event_time();
+  /// Time of the earliest pending event, or -1 when the queue is empty.
+  SimTime next_event_time() const {
+    return heap_.empty() ? -1 : heap_.front().time;
+  }
 
   /// Number of events executed so far (for tests and diagnostics).
   std::uint64_t events_executed() const { return events_executed_; }
-  /// Net pending events: queued minus cancelled-but-not-yet-popped.
-  std::size_t pending_events() const;
+  /// Events queued and not yet executed.
+  std::size_t pending_events() const { return heap_.size(); }
 
  private:
   static constexpr std::size_t kInitialQueueCapacity = 1024;
@@ -120,10 +111,8 @@ class Simulation {
   struct Event {
     SimTime time;
     std::uint64_t seq;
-    EventId id;
     EventFn fn;  ///< One-shot payload; empty for periodic entries.
     PeriodicTask* periodic;  ///< Set for periodic entries; owned by tasks_.
-    bool cancelled = false;  ///< Tombstone: skip (don't execute) on pop.
   };
   struct EventOrder {
     // Max-heap comparator where "later" sorts lower, leaving the earliest
@@ -137,7 +126,6 @@ class Simulation {
   void push_event(Event ev);
   Event pop_event();
   void push_periodic(PeriodicTask* task, SimTime at);
-  void purge_cancelled_top();
 
   /// Deep auditor: a Simulation is single-threaded state — the parallel
   /// sweep runner gives every worker its own instance, and nothing
@@ -148,10 +136,8 @@ class Simulation {
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
-  EventId next_id_ = 1;
   bool stopped_ = false;
   std::uint64_t events_executed_ = 0;
-  std::size_t cancelled_pending_ = 0;
   std::vector<Event> heap_;
   // Keep-alive for periodic tasks: the queue stores raw pointers (re-arming
   // must not fatten every Event), and the documented contract is that

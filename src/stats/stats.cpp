@@ -34,8 +34,8 @@ constexpr std::int64_t kSaturatedMin = std::numeric_limits<std::int64_t>::min();
 /// Saturating signed add on a cell holding a two's-complement running total
 /// (the histogram sum). Latches at either int64 ceiling; while unsaturated,
 /// adds are exact (the wrapping unsigned add of the bit pattern *is* signed
-/// addition), so merges of non-negative observation streams stay
-/// associative and commutative like the unsigned cells.
+/// addition), so concurrent adds of non-negative observations commute like
+/// the unsigned cells.
 void saturating_add_signed(util::RelaxedCell<std::uint64_t>& cell,
                            std::int64_t d) {
   std::int64_t cur = static_cast<std::int64_t>(cell.load());
@@ -140,16 +140,6 @@ void Histogram::observe_n(std::int64_t v, std::uint64_t n) {
   }
   saturating_add_signed(sum_, v < 0 ? -static_cast<std::int64_t>(total)
                                     : static_cast<std::int64_t>(total));
-}
-
-void Histogram::merge(const Histogram& other) {
-  AGILE_CHECK_MSG(other.bounds_ == bounds_,
-              "histogram merge requires identical bounds");
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    saturating_add(buckets_[i], other.buckets_[i].load());
-  }
-  saturating_add(count_, other.count_.load());
-  saturating_add_signed(sum_, static_cast<std::int64_t>(other.sum_.load()));
 }
 
 std::uint64_t Histogram::cumulative(std::size_t i) const {

@@ -74,10 +74,10 @@ class Gauge {
 /// bucket (`+Inf`) catches the rest. Per-bucket counts and the total count
 /// are saturating `uint64` cells; the sum is a signed running total
 /// saturating at the int64 ceilings. A runaway series clamps instead of
-/// wrapping, and merges stay associative: saturation is ceiling-capped
-/// addition, order-independent at the barrier (for the mixed-sign case the
-/// guarantee holds while the total stays off the ceilings — every quantity
-/// this repo records is non-negative).
+/// wrapping, and concurrent lane updates stay order-independent: saturation
+/// is ceiling-capped addition (for the mixed-sign case the guarantee holds
+/// while the total stays off the ceilings — every quantity this repo records
+/// is non-negative).
 class Histogram {
  public:
   explicit Histogram(std::vector<std::int64_t> bounds);
@@ -86,11 +86,6 @@ class Histogram {
   void observe(std::int64_t v) { observe_n(v, 1); }
   /// Records `n` identical observations in one update.
   void observe_n(std::int64_t v, std::uint64_t n);
-
-  /// Folds `other` into this histogram (same bounds required). Saturating
-  /// per-cell addition — associative and commutative, so merging per-lane
-  /// shards in any order yields identical totals.
-  void merge(const Histogram& other);
 
   const std::vector<std::int64_t>& bounds() const { return bounds_; }
   /// Cumulative count of observations <= bounds()[i]; the last entry
@@ -133,7 +128,6 @@ class Registry {
                        const Labels& labels = {}, const std::string& help = "");
 
   std::size_t metric_count() const { return metrics_.size(); }
-  std::size_t snapshot_count() const { return snapshots_.size(); }
 
   /// Appends one row: the current value of every registered metric, stamped
   /// with simulated time `now`. Coordinator-thread-only, after the lane

@@ -1,4 +1,4 @@
-// Block device models.
+// Block device model.
 //
 // `SsdModel` is a two-channel (read/write) queueing server driven by the
 // simulation quantum. Each submitted I/O contributes its service cost (in
@@ -42,25 +42,6 @@ struct DeviceStats {
   }
 };
 
-/// Abstract device: submitting an I/O returns the latency the caller should
-/// charge. Models are advanced once per simulation quantum.
-class BlockDevice {
- public:
-  virtual ~BlockDevice() = default;
-
-  /// Submits a read of `bytes`; returns completion latency from now.
-  virtual SimTime submit_read(Bytes bytes) = 0;
-
-  /// Submits a write of `bytes`; returns completion latency from now.
-  virtual SimTime submit_write(Bytes bytes) = 0;
-
-  /// Drains queued work for `dt` of simulated time.
-  virtual void advance(SimTime dt) = 0;
-
-  virtual const DeviceStats& stats() const = 0;
-  virtual DeviceStats& mutable_stats() = 0;
-};
-
 struct SsdConfig {
   // Defaults model a 2013-class consumer SATA SSD (the testbed's Crucial
   // 128 GB) in the kernel swap path: spec-sheet IOPS never survive queue
@@ -76,23 +57,25 @@ struct SsdConfig {
   double write_read_interference = 0.35;
 };
 
-class SsdModel final : public BlockDevice {
+/// Submitting an I/O returns the latency the caller should charge; the
+/// model is advanced once per simulation quantum.
+class SsdModel {
  public:
   explicit SsdModel(SsdConfig config = {});
 
-  SimTime submit_read(Bytes bytes) override;
-  SimTime submit_write(Bytes bytes) override;
-  void advance(SimTime dt) override;
+  /// Submits a read of `bytes`; returns completion latency from now.
+  SimTime submit_read(Bytes bytes);
+  /// Submits a write of `bytes`; returns completion latency from now.
+  SimTime submit_write(Bytes bytes);
+  /// Drains queued work for `dt` of simulated time.
+  void advance(SimTime dt);
 
-  const DeviceStats& stats() const override { return stats_; }
-  DeviceStats& mutable_stats() override { return stats_; }
+  const DeviceStats& stats() const { return stats_; }
+  DeviceStats& mutable_stats() { return stats_; }
 
-  /// Outstanding work, in device-seconds (carried overload + this quantum).
-  double backlog_seconds() const {
-    return read_carry_ + write_carry_ + read_work_ + write_work_;
-  }
+  /// Outstanding read work, in device-seconds (carried overload + this
+  /// quantum).
   double read_backlog_seconds() const { return read_carry_ + read_work_; }
-  double write_backlog_seconds() const { return write_carry_ + write_work_; }
 
   /// Utilization (0..1) of each channel over the last advanced quantum.
   double read_utilization() const { return u_read_; }
@@ -111,31 +94,6 @@ class SsdModel final : public BlockDevice {
   double write_carry_ = 0.0;
   double u_read_ = 0.0;      ///< Last quantum's utilization.
   double u_write_ = 0.0;
-  DeviceStats stats_;
-};
-
-/// Infinitely fast device (used for "no swap" configurations and tests).
-class NullDevice final : public BlockDevice {
- public:
-  SimTime submit_read(Bytes bytes) override {
-    ++stats_.reads;
-    ++stats_.window_reads;
-    stats_.bytes_read += bytes;
-    stats_.window_bytes_read += bytes;
-    return 0;
-  }
-  SimTime submit_write(Bytes bytes) override {
-    ++stats_.writes;
-    ++stats_.window_writes;
-    stats_.bytes_written += bytes;
-    stats_.window_bytes_written += bytes;
-    return 0;
-  }
-  void advance(SimTime) override {}
-  const DeviceStats& stats() const override { return stats_; }
-  DeviceStats& mutable_stats() override { return stats_; }
-
- private:
   DeviceStats stats_;
 };
 

@@ -108,8 +108,6 @@ class LocalSwapDevice final : public SwapDevice {
   storage::DeviceStats& mutable_stats() override { return stats_; }
   const std::string& name() const override { return name_; }
 
-  const std::shared_ptr<storage::SsdModel>& ssd() const { return ssd_; }
-
  private:
   std::string name_;
   std::shared_ptr<storage::SsdModel> ssd_;

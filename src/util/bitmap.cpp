@@ -105,12 +105,6 @@ void Bitmap::clear_range(std::size_t begin, std::size_t end) {
   }
 }
 
-void Bitmap::or_with(const Bitmap& other) {
-  AGILE_CHECK(other.size_ == size_);
-  for (std::size_t i = 0; i < words_.size(); ++i) words_[i] |= other.words_[i];
-  recount();
-}
-
 void Bitmap::deep_audit() const {
   AGILE_CHECK_S(words_.size() == (size_ + 63) / 64)
       << "word storage does not match size " << size_;
@@ -156,12 +150,6 @@ void Bitmap::deep_audit() const {
   AGILE_CHECK_S(clear_covered == size_ - count_)
       << "clear runs cover " << clear_covered << " bits, expected "
       << size_ - count_;
-}
-
-void Bitmap::recount() {
-  std::size_t c = 0;
-  for (std::uint64_t w : words_) c += static_cast<std::size_t>(std::popcount(w));
-  count_ = c;
 }
 
 }  // namespace agile

@@ -91,9 +91,6 @@ class Bitmap {
   /// Clears every bit in [begin, end), word-masked.
   void clear_range(std::size_t begin, std::size_t end);
 
-  /// Bitwise OR with another bitmap of the same size.
-  void or_with(const Bitmap& other);
-
   /// Deep auditor (O(bits)): the incremental population count matches an
   /// actual recount, bits past `size()` are zero, and set/clear run iteration
   /// yields maximal, disjoint, ascending runs covering exactly the set and
@@ -112,8 +109,6 @@ class Bitmap {
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
  private:
-  void recount();
-
   std::size_t size_ = 0;
   std::size_t count_ = 0;
   std::vector<std::uint64_t> words_;

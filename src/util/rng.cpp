@@ -28,17 +28,6 @@ Rng::Rng(std::uint64_t seed, std::string_view tag) {
   for (auto& word : s_) word = splitmix64(s);
 }
 
-double Rng::next_range(double lo, double hi) {
-  return lo + (hi - lo) * next_double();
-}
-
-double Rng::next_exponential(double mean) {
-  double u = next_double();
-  // Guard against log(0).
-  if (u >= 1.0) u = 0x1.fffffffffffffp-1;
-  return -mean * std::log1p(-u);
-}
-
 namespace {
 double zeta(std::uint64_t n, double theta) {
   double sum = 0.0;

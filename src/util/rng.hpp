@@ -71,12 +71,6 @@ class Rng {
     return next_double() < p;
   }
 
-  /// Uniform in [lo, hi) for doubles.
-  double next_range(double lo, double hi);
-
-  /// Approximately exponentially distributed with the given mean.
-  double next_exponential(double mean);
-
  private:
   static std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

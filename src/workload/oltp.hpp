@@ -37,7 +37,6 @@ class OltpWorkload final : public Workload {
   const char* kind() const override { return "oltp"; }
 
   PageIndex dataset_base() const { return base_page_; }
-  std::uint64_t dataset_pages() const { return dataset_pages_; }
 
  private:
   PageAccessor* accessor_;

@@ -52,13 +52,4 @@ class Workload {
   virtual const char* kind() const = 0;
 };
 
-/// A VM that only runs its (quiet) guest OS.
-class IdleWorkload final : public Workload {
- public:
-  std::uint64_t run_quantum(SimTime, std::uint32_t) override { return 0; }
-  void load(std::uint32_t) override {}
-  std::uint64_t ops_total() const override { return 0; }
-  const char* kind() const override { return "idle"; }
-};
-
 }  // namespace agile::workload

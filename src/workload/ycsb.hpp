@@ -45,7 +45,6 @@ class YcsbWorkload final : public Workload {
 
   /// First guest page of the dataset.
   PageIndex dataset_base() const { return base_page_; }
-  std::uint64_t dataset_pages() const { return dataset_pages_; }
 
  private:
   PageIndex pick_page();

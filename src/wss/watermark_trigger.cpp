@@ -46,13 +46,6 @@ TriggerDecision evaluate_watermarks(Bytes host_ram, Bytes host_os_bytes,
 
 std::vector<std::size_t> place_victims(const std::vector<Bytes>& victim_wss,
                                        const std::vector<HostHeadroom>& hosts,
-                                       double low_watermark) {
-  return place_victims(victim_wss, hosts, low_watermark,
-                       PlacementPolicy::kBestFit, 0);
-}
-
-std::vector<std::size_t> place_victims(const std::vector<Bytes>& victim_wss,
-                                       const std::vector<HostHeadroom>& hosts,
                                        double low_watermark,
                                        PlacementPolicy policy,
                                        std::uint32_t source_rack) {

@@ -58,6 +58,12 @@ struct HostHeadroom {
 /// Returned by `place_victims` for a victim no candidate can admit.
 inline constexpr std::size_t kNoPlacement = static_cast<std::size_t>(-1);
 
+/// Destination preference for `place_victims`.
+enum class PlacementPolicy {
+  kBestFit,    ///< Global best-fit (the default).
+  kRackAware,  ///< Best-fit within the source rack first, then global.
+};
+
 /// Pure destination placement: assigns each victim (its WSS, in input order)
 /// to the candidate host with the least headroom that still admits it below
 /// `low_watermark × ram` — best-fit, so big victims keep their options open.
@@ -65,26 +71,16 @@ inline constexpr std::size_t kNoPlacement = static_cast<std::size_t>(-1);
 /// reserves the victim's WSS against the chosen candidate before the next
 /// victim is placed, so one decision cannot overcommit a destination.
 /// Victims that fit nowhere get `kNoPlacement`.
-std::vector<std::size_t> place_victims(const std::vector<Bytes>& victim_wss,
-                                       const std::vector<HostHeadroom>& hosts,
-                                       double low_watermark);
-
-/// Destination preference for the policy-selecting overload.
-enum class PlacementPolicy {
-  kBestFit,    ///< The default global best-fit above.
-  kRackAware,  ///< Best-fit within the source rack first, then global.
-};
-
-/// Policy-selecting variant. kBestFit reproduces the default overload
-/// exactly (source_rack is ignored). kRackAware places each victim best-fit
+///
+/// kBestFit ignores `source_rack`. kRackAware places each victim best-fit
 /// among candidates in `source_rack` when any of them admits it — keeping
 /// migration traffic off the oversubscribed core tier — and falls back to
-/// best-fit over the remaining candidates otherwise. Tie-breaking and
-/// reservation semantics match the default policy.
-std::vector<std::size_t> place_victims(const std::vector<Bytes>& victim_wss,
-                                       const std::vector<HostHeadroom>& hosts,
-                                       double low_watermark,
-                                       PlacementPolicy policy,
-                                       std::uint32_t source_rack);
+/// best-fit over the remaining candidates otherwise, with the same
+/// tie-breaking and reservation semantics.
+std::vector<std::size_t> place_victims(
+    const std::vector<Bytes>& victim_wss,
+    const std::vector<HostHeadroom>& hosts, double low_watermark,
+    PlacementPolicy policy = PlacementPolicy::kBestFit,
+    std::uint32_t source_rack = 0);
 
 }  // namespace agile::wss

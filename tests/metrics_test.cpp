@@ -33,9 +33,8 @@ TEST(TimeSeries, MeanBetween) {
   EXPECT_DOUBLE_EQ(ts.mean_between(100, 200), 0.0);
 }
 
-TEST(TimeSeries, MaxValueAndBetween) {
+TEST(TimeSeries, MaxBetween) {
   TimeSeries ts = ramp();
-  EXPECT_DOUBLE_EQ(ts.max_value(), 100.0);
   EXPECT_DOUBLE_EQ(ts.max_between(2, 5), 50.0);
 }
 

@@ -101,8 +101,9 @@ TEST(ScatterGather, DeprovisionsFasterWhenDestinationIsCongested) {
     net::Network& net = bed.bed->cluster().network();
     net::FlowId noise = net.open_flow(bed.bed->client_node(),
                                       bed.bed->dest()->node(), [](Bytes) {});
+    net.offer(noise, 16_MiB);
     auto feeder = bed.bed->cluster().simulation().schedule_periodic(
-        msec(100), [&net, noise](SimTime) { net.offer(noise, 16_MiB); }, 0);
+        msec(100), [&net, noise](SimTime) { net.offer(noise, 16_MiB); });
     auto mig = bed.bed->make_migration(technique, *bed.handle);
     mig->start();
     double deadline = bed.bed->cluster().now_seconds() + 600;

@@ -1,6 +1,6 @@
 // Stats subsystem tests: registry get-or-create semantics, exact export
 // formats (Prometheus text and snapshots JSON), histogram edge cases (empty
-// export, inclusive bucket boundaries, saturation, merge associativity),
+// export, inclusive bucket boundaries, saturation),
 // health-model arithmetic, the write paths (parent-dir creation and the
 // warning on failure), and end-to-end determinism: a full instrumented
 // scenario run twice produces byte-identical exports. The ctest rerun with
@@ -179,40 +179,6 @@ TEST(Histogram, SaturatesInsteadOfWrapping) {
   Histogram s({10});
   s.observe_n(std::numeric_limits<std::int64_t>::max(), 1000);
   EXPECT_EQ(s.sum(), std::numeric_limits<std::int64_t>::max());
-}
-
-TEST(Histogram, MergeIsAssociativeEvenWhenSaturating) {
-  auto make = [](std::uint64_t n) {
-    Histogram h({10, 20});
-    h.observe_n(5, n);
-    h.observe_n(15, 2);
-    h.observe(25);
-    return h;
-  };
-  // One shard near the ceiling so at least one merge order saturates
-  // mid-way; totals must come out identical regardless.
-  Histogram a = make(kMax / 2), b = make(kMax / 2), c = make(7);
-
-  Histogram left = a;   // (a + b) + c
-  left.merge(b);
-  left.merge(c);
-  Histogram right = c;  // c + (b + a) — different order
-  Histogram bc = b;
-  bc.merge(a);
-  right.merge(bc);
-
-  for (std::size_t i = 0; i <= 2; ++i) {
-    EXPECT_EQ(left.cumulative(i), right.cumulative(i)) << "bucket " << i;
-  }
-  EXPECT_EQ(left.count(), right.count());
-  EXPECT_EQ(left.sum(), right.sum());
-  EXPECT_EQ(left.count(), kMax);  // proves saturation actually engaged
-}
-
-TEST(HistogramDeathTest, MergeRequiresIdenticalBounds) {
-  Histogram a({10});
-  Histogram b({20});
-  EXPECT_DEATH(a.merge(b), "identical bounds");
 }
 
 TEST(HistogramDeathTest, UnsortedBoundsDie) {

@@ -114,13 +114,5 @@ TEST(Ssd, StatsTrackTotalsAndWindows) {
   EXPECT_EQ(ssd.stats().reads, 2u);
 }
 
-TEST(NullDevice, InstantAndCounted) {
-  NullDevice dev;
-  EXPECT_EQ(dev.submit_read(1_GiB), 0);
-  EXPECT_EQ(dev.submit_write(1_GiB), 0);
-  EXPECT_EQ(dev.stats().bytes_read, 1_GiB);
-  EXPECT_EQ(dev.stats().bytes_written, 1_GiB);
-}
-
 }  // namespace
 }  // namespace agile::storage

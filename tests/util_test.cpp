@@ -171,13 +171,6 @@ TEST(Rng, BernoulliExtremes) {
   EXPECT_NEAR(hits / 10000.0, 0.25, 0.03);
 }
 
-TEST(Rng, ExponentialMean) {
-  Rng rng(5, "e");
-  double sum = 0;
-  for (int i = 0; i < 20000; ++i) sum += rng.next_exponential(3.0);
-  EXPECT_NEAR(sum / 20000.0, 3.0, 0.15);
-}
-
 TEST(Zipf, SkewsTowardLowIndices) {
   Rng rng(6, "z");
   ZipfSampler zipf(1000, 0.99);
@@ -253,19 +246,6 @@ TEST(Bitmap, SetAllClearAll) {
   EXPECT_EQ(bm.count(), 100u);
   bm.clear_all();
   EXPECT_EQ(bm.count(), 0u);
-}
-
-TEST(Bitmap, OrWith) {
-  Bitmap a(128), b(128);
-  a.set(1);
-  a.set(100);
-  b.set(100);
-  b.set(2);
-  a.or_with(b);
-  EXPECT_EQ(a.count(), 3u);
-  EXPECT_TRUE(a.test(1));
-  EXPECT_TRUE(a.test(2));
-  EXPECT_TRUE(a.test(100));
 }
 
 TEST(Bitmap, SetRunCrossesWordBoundary) {

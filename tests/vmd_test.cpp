@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <string>
+#include <vector>
+
 #include "net/network.hpp"
 #include "vmd/vmd.hpp"
 #include "vmd/vmd_swap_device.hpp"
@@ -7,11 +11,29 @@
 namespace agile::vmd {
 namespace {
 
+/// A per-VM device attached at `node` over `servers`, registered in order.
+VmdSwapDevice make_device(net::Network* net, net::NodeId node,
+                          std::initializer_list<VmdServer*> servers,
+                          Bytes capacity = 4_MiB, std::string name = "blk") {
+  VmdSwapDevice dev(std::move(name), net, node, capacity);
+  for (VmdServer* server : servers) dev.register_server(server);
+  return dev;
+}
+
+/// Writes `n` freshly allocated slots; returns them in allocation order.
+std::vector<swap::SwapSlot> write_pages(VmdSwapDevice& dev, int n) {
+  std::vector<swap::SwapSlot> slots;
+  for (int i = 0; i < n; ++i) {
+    slots.push_back(dev.allocate_slot());
+    dev.write_page(slots.back());
+  }
+  return slots;
+}
+
 struct Fixture {
   net::Network net;
   net::NodeId source, dest, inter1, inter2;
   VmdServer s1, s2;
-  VmdClient client;
 
   Fixture()
       : net(net::NetworkConfig{}),
@@ -19,18 +41,18 @@ struct Fixture {
         dest(net.add_node("dest")),
         inter1(net.add_node("inter1")),
         inter2(net.add_node("inter2")),
-        s1("vmd-s1", inter1, {.capacity = 1_MiB, .service_time = 3}),
-        s2("vmd-s2", inter2, {.capacity = 1_MiB, .service_time = 3}),
-        client(&net, source) {
-    client.register_server(&s1);
-    client.register_server(&s2);
+        s1(inter1, {.capacity = 1_MiB, .service_time = 3}),
+        s2(inter2, {.capacity = 1_MiB, .service_time = 3}) {}
+
+  VmdSwapDevice device(std::string name = "blk") {
+    return make_device(&net, source, {&s1, &s2}, 4_MiB, std::move(name));
   }
 };
 
 TEST(VmdServer, AllocateOnWriteOnly) {
   net::Network net;
   net::NodeId n = net.add_node("i");
-  VmdServer s("s", n, {.capacity = 2 * kPageSize, .service_time = 3});
+  VmdServer s(n, {.capacity = 2 * kPageSize, .service_time = 3});
   EXPECT_EQ(s.used_bytes(), 0u);  // nothing reserved in advance
   EXPECT_EQ(s.store_page(), VmdTier::kMemory);
   EXPECT_EQ(s.store_page(), VmdTier::kMemory);
@@ -46,7 +68,7 @@ TEST(VmdServer, DiskTierAbsorbsOverflow) {
   VmdServerConfig cfg;
   cfg.capacity = 2 * kPageSize;
   cfg.disk_capacity = 2 * kPageSize;
-  VmdServer s("s", n, cfg);
+  VmdServer s(n, cfg);
   EXPECT_EQ(s.store_page(), VmdTier::kMemory);
   EXPECT_EQ(s.store_page(), VmdTier::kMemory);
   EXPECT_EQ(s.store_page(), VmdTier::kDisk);  // spills
@@ -63,97 +85,87 @@ TEST(VmdServer, DiskTierAbsorbsOverflow) {
   s.advance(sec(1));  // drains the tier device queue
 }
 
-TEST(VmdClient, RoundRobinSpreadsPages) {
+TEST(VmdSwapDevice, RoundRobinSpreadsPages) {
   Fixture fx;
-  NamespaceId ns = fx.client.create_namespace("vm1");
-  for (PageKey k = 0; k < 100; ++k) fx.client.write_page(ns, k);
+  VmdSwapDevice dev = fx.device();
+  write_pages(dev, 100);
   EXPECT_EQ(fx.s1.used_pages(), 50u);
   EXPECT_EQ(fx.s2.used_pages(), 50u);
-  EXPECT_EQ(fx.client.namespace_pages(ns), 100u);
+  EXPECT_EQ(dev.stored_pages(), 100u);
 }
 
-TEST(VmdClient, SkipsFullServers) {
-  Fixture fx;
-  NamespaceId ns = fx.client.create_namespace("vm1");
-  std::uint64_t cap1 = fx.s1.capacity() / kPageSize;
-  std::uint64_t cap2 = fx.s2.capacity() / kPageSize;
-  for (PageKey k = 0; k < cap1 + cap2; ++k) fx.client.write_page(ns, k);
-  EXPECT_EQ(fx.s1.free_bytes(), 0u);
-  EXPECT_EQ(fx.s2.free_bytes(), 0u);
+TEST(VmdSwapDevice, SkipsFullServerOnStaleCacheUntilHeartbeat) {
+  net::Network net;
+  net::NodeId host = net.add_node("host");
+  VmdServer small(net.add_node("i1"), {.capacity = 4 * kPageSize});
+  VmdServer big(net.add_node("i2"), {.capacity = 64 * kPageSize});
+  VmdSwapDevice a = make_device(&net, host, {&small, &big}, 1_MiB, "a");
+  VmdSwapDevice b = make_device(&net, host, {&small, &big}, 1_MiB, "b");
+  // a alternates small/big and fills `small`; b's cache still shows it free.
+  std::vector<swap::SwapSlot> a_slots = write_pages(a, 8);
+  ASSERT_EQ(small.free_bytes(), 0u);
+  // b tries `small` first, learns it is full, and lands every page on `big`.
+  write_pages(b, 3);
+  EXPECT_EQ(small.used_pages(), 4u);
+  EXPECT_EQ(big.used_pages(), 7u);
+  // Freed frames stay invisible to b until its next availability heartbeat.
+  for (swap::SwapSlot slot : a_slots) a.free_slot(slot);
+  write_pages(b, 1);
+  EXPECT_EQ(small.used_pages(), 0u);
+  b.update_availability();
+  write_pages(b, 1);
+  EXPECT_EQ(small.used_pages(), 1u);
+  EXPECT_EQ(b.stored_pages(), 5u);
 }
 
-TEST(VmdClient, ReadFindsPageWherever) {
+TEST(VmdSwapDevice, ReadFindsPageWherever) {
   Fixture fx;
-  NamespaceId ns = fx.client.create_namespace("vm1");
-  for (PageKey k = 0; k < 10; ++k) fx.client.write_page(ns, k);
-  for (PageKey k = 0; k < 10; ++k) {
-    EXPECT_TRUE(fx.client.has_page(ns, k));
-    SimTime lat = fx.client.read_page(ns, k);
+  VmdSwapDevice dev = fx.device();
+  for (swap::SwapSlot slot : write_pages(dev, 10)) {
+    SimTime lat = dev.read_page(slot);
     EXPECT_GE(lat, 200);          // at least the RTT
     EXPECT_LT(lat, msec(2));      // remote memory, not disk
   }
 }
 
-TEST(VmdClient, NamespacesAreIsolated) {
+TEST(VmdSwapDevice, FreeReleasesServerFrame) {
   Fixture fx;
-  NamespaceId a = fx.client.create_namespace("vm-a");
-  NamespaceId b = fx.client.create_namespace("vm-b");
-  fx.client.write_page(a, 0);
-  EXPECT_TRUE(fx.client.has_page(a, 0));
-  EXPECT_FALSE(fx.client.has_page(b, 0));
-  EXPECT_EQ(fx.client.namespace_name(a), "vm-a");
-  EXPECT_EQ(fx.client.namespace_name(b), "vm-b");
-}
-
-TEST(VmdClient, DropReleasesServerFrame) {
-  Fixture fx;
-  NamespaceId ns = fx.client.create_namespace("vm1");
-  fx.client.write_page(ns, 0);
-  std::uint64_t used = fx.s1.used_pages() + fx.s2.used_pages();
-  EXPECT_EQ(used, 1u);
-  fx.client.drop_page(ns, 0);
+  VmdSwapDevice dev = fx.device();
+  swap::SwapSlot s = write_pages(dev, 1)[0];
+  EXPECT_EQ(fx.s1.used_pages() + fx.s2.used_pages(), 1u);
+  dev.free_slot(s);
   EXPECT_EQ(fx.s1.used_pages() + fx.s2.used_pages(), 0u);
-  EXPECT_FALSE(fx.client.has_page(ns, 0));
+  EXPECT_EQ(dev.stored_pages(), 0u);
 }
 
-TEST(VmdClient, AvailabilityCacheTracksServers) {
+TEST(VmdSwapDevice, ReadsConsumeNetworkBandwidth) {
   Fixture fx;
-  NamespaceId ns = fx.client.create_namespace("vm1");
-  Bytes before = fx.client.cached_free_bytes();
-  for (PageKey k = 0; k < 10; ++k) fx.client.write_page(ns, k);
-  EXPECT_EQ(fx.client.cached_free_bytes(), before - 10 * kPageSize);
-  fx.client.update_availability();
-  EXPECT_EQ(fx.client.cached_free_bytes(), before - 10 * kPageSize);
-}
-
-TEST(VmdClient, ReadsConsumeNetworkBandwidth) {
-  Fixture fx;
-  NamespaceId ns = fx.client.create_namespace("vm1");
-  fx.client.write_page(ns, 0);
+  VmdSwapDevice dev = fx.device();
+  swap::SwapSlot s = write_pages(dev, 1)[0];
   fx.net.advance(msec(100));
   auto rx_before = fx.net.stats(fx.source).rx_bytes;
-  fx.client.read_page(ns, 0);
+  dev.read_page(s);
   fx.net.advance(msec(100));
   EXPECT_GE(fx.net.stats(fx.source).rx_bytes - rx_before, kPageSize);
 }
 
-TEST(VmdClient, CongestedLinkSlowsReads) {
+TEST(VmdSwapDevice, CongestedLinkSlowsReads) {
   Fixture fx;
-  NamespaceId ns = fx.client.create_namespace("vm1");
-  fx.client.write_page(ns, 0);
+  VmdSwapDevice dev = fx.device();
+  swap::SwapSlot s = write_pages(dev, 1)[0];
   fx.net.advance(msec(100));
-  SimTime idle = fx.client.read_page(ns, 0);
+  SimTime idle = dev.read_page(s);
   // Saturate inter1 -> source with a bulk flow.
   net::FlowId f = fx.net.open_flow(fx.inter1, fx.source, [](Bytes) {});
   fx.net.offer(f, 10_GiB);
   fx.net.advance(sec(1));
-  SimTime busy = fx.client.read_page(ns, 0);
+  SimTime busy = dev.read_page(s);
   EXPECT_GT(busy, idle);
 }
 
 TEST(VmdSwapDevice, SwapInterfaceRoundTrip) {
   Fixture fx;
-  VmdSwapDevice dev("blk1", &fx.client, 1_MiB);
+  VmdSwapDevice dev = fx.device();
   swap::SwapSlot s = dev.allocate_slot();
   dev.write_page(s);
   EXPECT_EQ(dev.used_slots(), 1u);
@@ -169,7 +181,7 @@ TEST(VmdSwapDevice, SwapInterfaceRoundTrip) {
 
 TEST(VmdSwapDevice, FreeingUnwrittenSlotIsSafe) {
   Fixture fx;
-  VmdSwapDevice dev("blk1", &fx.client, 1_MiB);
+  VmdSwapDevice dev = fx.device();
   swap::SwapSlot s = dev.allocate_slot();
   dev.free_slot(s);  // never written; must not touch servers
   EXPECT_EQ(dev.stored_pages(), 0u);
@@ -177,33 +189,41 @@ TEST(VmdSwapDevice, FreeingUnwrittenSlotIsSafe) {
 
 TEST(VmdSwapDevice, PortableAcrossHosts) {
   Fixture fx;
-  VmdSwapDevice dev("blk1", &fx.client, 1_MiB);
-  swap::SwapSlot s = dev.allocate_slot();
-  dev.write_page(s);
+  VmdSwapDevice dev = fx.device();
+  swap::SwapSlot s = write_pages(dev, 1)[0];
+  fx.net.advance(msec(100));
   // Migrate: the device re-attaches at the destination; the page is still
-  // reachable without any data movement between source and dest.
+  // reachable without any data movement between source and dest, and the
+  // read now lands on the destination's link.
   dev.attach_to(fx.dest);
-  EXPECT_EQ(fx.client.access_node(), fx.dest);
-  SimTime lat = dev.read_page(s);
-  EXPECT_GT(lat, 0);
+  auto source_rx = fx.net.stats(fx.source).rx_bytes;
+  auto dest_rx = fx.net.stats(fx.dest).rx_bytes;
+  EXPECT_GT(dev.read_page(s), 0);
+  fx.net.advance(msec(100));
+  EXPECT_GE(fx.net.stats(fx.dest).rx_bytes - dest_rx, kPageSize);
+  EXPECT_EQ(fx.net.stats(fx.source).rx_bytes, source_rx);
   EXPECT_EQ(dev.stored_pages(), 1u);
 }
 
-TEST(VmdSwapDevice, SeparateDevicesShareServers) {
+TEST(VmdSwapDevice, DevicesOverSharedServersKeepPrivatePlacement) {
+  // The testbed builds one device per VM over the same servers; each keeps
+  // its own round-robin cursor, availability cache and slot map.
   Fixture fx;
-  VmdSwapDevice d1("blk1", &fx.client, 1_MiB);
-  VmdSwapDevice d2("blk2", &fx.client, 1_MiB);
-  swap::SwapSlot a = d1.allocate_slot();
-  swap::SwapSlot b = d2.allocate_slot();
-  d1.write_page(a);
-  d2.write_page(b);
-  EXPECT_EQ(fx.s1.used_pages() + fx.s2.used_pages(), 2u);
-  EXPECT_EQ(d1.stored_pages(), 1u);
+  VmdSwapDevice d1 = fx.device("blk1");
+  VmdSwapDevice d2 = fx.device("blk2");
+  swap::SwapSlot a = write_pages(d1, 1)[0];
+  swap::SwapSlot b = write_pages(d2, 1)[0];
+  EXPECT_EQ(a, b);  // same slot number in two namespaces
+  EXPECT_EQ(fx.s1.used_pages(), 2u);  // each device's first write: server 0
+  EXPECT_EQ(fx.s2.used_pages(), 0u);
+  d1.free_slot(a);
+  EXPECT_EQ(d1.stored_pages(), 0u);
   EXPECT_EQ(d2.stored_pages(), 1u);
+  EXPECT_EQ(fx.s1.used_pages(), 1u);
+  EXPECT_GT(d2.read_page(b), 0);
 }
 
-
-TEST(VmdClient, SpillsToDiskTierAndPrefersMemoryServers) {
+TEST(VmdSwapDevice, SpillsToDiskTierAndPrefersMemoryServers) {
   net::Network net;
   net::NodeId client_node = net.add_node("c");
   net::NodeId n1 = net.add_node("i1");
@@ -211,41 +231,49 @@ TEST(VmdClient, SpillsToDiskTierAndPrefersMemoryServers) {
   VmdServerConfig small;
   small.capacity = 4 * kPageSize;
   small.disk_capacity = 64 * kPageSize;
-  VmdServer s1("s1", n1, small);
-  VmdServer s2("s2", n2, small);
-  VmdClient client(&net, client_node);
-  client.register_server(&s1);
-  client.register_server(&s2);
-  NamespaceId ns = client.create_namespace("vm");
+  VmdServer s1(n1, small);
+  VmdServer s2(n2, small);
+  VmdSwapDevice dev = make_device(&net, client_node, {&s1, &s2});
   // 8 pages fit in memory across the two servers; the rest hit disk.
-  for (PageKey k = 0; k < 20; ++k) client.write_page(ns, k);
+  std::vector<swap::SwapSlot> slots = write_pages(dev, 20);
   EXPECT_EQ(s1.memory_pages() + s2.memory_pages(), 8u);
   EXPECT_EQ(s1.disk_pages() + s2.disk_pages(), 12u);
   // Reads from spilled pages still resolve (and are slower).
-  SimTime mem_read = client.read_page(ns, 0);
-  SimTime disk_read = client.read_page(ns, 19);
+  SimTime mem_read = dev.read_page(slots.front());
+  SimTime disk_read = dev.read_page(slots.back());
   EXPECT_GT(disk_read, mem_read);
-  // Drops return capacity to the right tier.
-  for (PageKey k = 0; k < 20; ++k) client.drop_page(ns, k);
+  // Frees return capacity to the right tier.
+  for (swap::SwapSlot slot : slots) dev.free_slot(slot);
   EXPECT_EQ(s1.used_pages() + s2.used_pages(), 0u);
 }
 
-TEST(VmdClient, DiskTierKeepsSwapDeviceUsable) {
+TEST(VmdSwapDevice, WritesDebitAvailabilityCache) {
+  // Each write debits the device's cached free memory for its server, so a
+  // server whose memory the device has filled is skipped in favour of
+  // another server's free memory rather than spilling to its own disk tier,
+  // without waiting for a heartbeat.
+  net::Network net;
+  net::NodeId host = net.add_node("host");
+  VmdServer a(net.add_node("i1"),
+              {.capacity = 2 * kPageSize, .disk_capacity = 64 * kPageSize});
+  VmdServer b(net.add_node("i2"), {.capacity = 64 * kPageSize});
+  VmdSwapDevice dev = make_device(&net, host, {&a, &b});
+  write_pages(dev, 6);
+  EXPECT_EQ(a.memory_pages(), 2u);
+  EXPECT_EQ(a.disk_pages(), 0u);
+  EXPECT_EQ(b.memory_pages(), 4u);
+}
+
+TEST(VmdSwapDevice, DiskTierKeepsSwapDeviceUsable) {
   net::Network net;
   net::NodeId client_node = net.add_node("c");
   net::NodeId n1 = net.add_node("i1");
   VmdServerConfig cfg;
   cfg.capacity = 8 * kPageSize;
   cfg.disk_capacity = 1024 * kPageSize;
-  VmdServer s1("s1", n1, cfg);
-  VmdClient client(&net, client_node);
-  client.register_server(&s1);
-  VmdSwapDevice dev("blk", &client, 4_MiB);
-  std::vector<swap::SwapSlot> slots;
-  for (int i = 0; i < 100; ++i) {
-    slots.push_back(dev.allocate_slot());
-    dev.write_page(slots.back());
-  }
+  VmdServer s1(n1, cfg);
+  VmdSwapDevice dev = make_device(&net, client_node, {&s1});
+  std::vector<swap::SwapSlot> slots = write_pages(dev, 100);
   EXPECT_EQ(dev.stored_pages(), 100u);
   for (swap::SwapSlot slot : slots) EXPECT_GT(dev.read_page(slot), 0);
   for (swap::SwapSlot slot : slots) dev.free_slot(slot);

@@ -203,12 +203,5 @@ TEST(Oltp, WriteTransactionsDirtyMultiplePages) {
   EXPECT_GT(dirty.count(), txns);  // several dirtied pages per txn
 }
 
-TEST(Idle, DoesNothing) {
-  IdleWorkload idle;
-  EXPECT_EQ(idle.run_quantum(sec(1), 1), 0u);
-  EXPECT_EQ(idle.ops_total(), 0u);
-  EXPECT_STREQ(idle.kind(), "idle");
-}
-
 }  // namespace
 }  // namespace agile::workload

@@ -100,6 +100,14 @@ TEST(Watermark, LowEqualsHighIsAccepted) {
 
 // --- destination placement (pure logic) -----------------------------------
 
+/// "h<i>", built by append: `"h" + std::to_string(i)` trips GCC 12's
+/// -Wrestrict false positive at -O3.
+std::string host_label(std::size_t i) {
+  std::string label = "h";
+  label += std::to_string(i);
+  return label;
+}
+
 TEST(Placement, BestFitPicksTightestSufficientHeadroom) {
   // low = 1.0 to make headroom arithmetic transparent.
   std::vector<HostHeadroom> hosts = {{"h0", 8_GiB, 1_GiB},   // headroom 7
@@ -191,7 +199,7 @@ TEST(Placement, FleetScaleCascadingTiesStayDeterministic) {
   std::vector<HostHeadroom> hosts;
   hosts.reserve(candidates);
   for (std::size_t i = 0; i < candidates; ++i) {
-    hosts.push_back({"h" + std::to_string(i), 4_GiB, 1_GiB, 0});
+    hosts.push_back({host_label(i), 4_GiB, 1_GiB, 0});
   }
   std::vector<Bytes> victims(40, 1_GiB);
   std::vector<std::size_t> p = place_victims(victims, hosts, 1.0);
@@ -204,13 +212,13 @@ TEST(Placement, FleetScaleCascadingTiesStayDeterministic) {
   }
 }
 
-TEST(Placement, FleetScalePolicyOverloadMatchesDefault) {
-  // Several hundred mixed candidates: the kBestFit policy overload must
-  // reproduce the 3-arg overload exactly, whatever source_rack says.
+TEST(Placement, FleetScaleBestFitIgnoresSourceRack) {
+  // Several hundred mixed candidates: an explicit kBestFit must reproduce
+  // the default call exactly, whatever source_rack says.
   std::vector<HostHeadroom> hosts;
   std::vector<Bytes> victims;
   for (std::size_t i = 0; i < 257; ++i) {
-    hosts.push_back({"h" + std::to_string(i), 2_GiB + (i % 7) * 512_MiB,
+    hosts.push_back({host_label(i), 2_GiB + (i % 7) * 512_MiB,
                      (i % 5) * 256_MiB, static_cast<std::uint32_t>(i % 8)});
   }
   for (std::size_t v = 0; v < 64; ++v) {

@@ -13,8 +13,8 @@ pool entry point and walking what it can reach.
 Rules (each finding carries its rule id):
 
   LL001 cross-lane-schedule    Simulation::schedule_at / schedule_after /
-                               schedule_periodic / cancel reachable from lane
-                               or pool-task context. Lane code must use
+                               schedule_periodic reachable from lane or
+                               pool-task context. Lane code must use
                                LaneCoordinator::post (cross-lane) or
                                LaneCoordinator::schedule (lane-local): raw
                                Simulation mutation from a lane thread races
@@ -95,9 +95,6 @@ SCHEDULE_RECEIVER_HINTS = ("lanes", "coordinator")
 
 # LL001: Simulation event-queue mutators banned outside the coordinator.
 BANNED_SCHEDULERS = {"schedule_at", "schedule_after", "schedule_periodic"}
-# `cancel` is only banned on a simulation-ish receiver (PeriodicTask handles
-# also have cancel(), and those are coordinator-owned).
-BANNED_CANCEL_RECEIVER_HINT = "sim"
 
 # LL003: the lane runtime's own accessors may touch the thread-local
 # registry; everything else reachable from task/lane context may not.
@@ -729,18 +726,12 @@ def entry_context(lam):
 
 
 def _check_calls_ll001(findings, calls, file, via):
-    for name, receiver, line in calls:
+    for name, _receiver, line in calls:
         if name in BANNED_SCHEDULERS:
             findings.append(Finding(
                 "LL001", file, line,
                 f"Simulation::{name} reachable from {via}; lane code must "
                 f"go through LaneCoordinator::post/schedule"))
-        elif name == "cancel" and \
-                BANNED_CANCEL_RECEIVER_HINT in receiver.lower():
-            findings.append(Finding(
-                "LL001", file, line,
-                f"Simulation::cancel (receiver `{receiver}`) reachable from "
-                f"{via}; cancellation belongs to the coordinator"))
 
 
 def _capture_is_forbidden(fm, lam, entry_toks):

@@ -161,7 +161,7 @@ SCALAR_MEMBER = re.compile(
     r"^\s*(?:const\s+)?"
     r"((?:unsigned\s+|signed\s+|long\s+|short\s+)*"
     r"(?:bool|char|int|long|short|float|double|size_t|std::size_t|"
-    r"std::u?int\d+_t|u?int\d+_t|SimTime|Bytes|PageIndex|NodeId|EventId))\s+"
+    r"std::u?int\d+_t|u?int\d+_t|SimTime|Bytes|PageIndex|NodeId))\s+"
     r"(\w+)\s*;\s*(?://.*)?$")
 
 
