@@ -21,6 +21,8 @@
 // events/second.
 #pragma once
 
+#include <sys/resource.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -31,8 +33,26 @@
 #include "metrics/table.hpp"
 #include "migration/migration.hpp"
 #include "stats/stats.hpp"
+#include "util/status.hpp"
 
 namespace agile::bench {
+
+/// The one failure exit for bench outputs: a file or directory that cannot
+/// be written prints its Status (whose message names the path) and exits 1,
+/// so a bench that exits 0 has written every output it names.
+inline void check_output(const Status& status) {
+  if (status.is_ok()) return;
+  std::fprintf(stderr, "bench output failed: %s\n", status.to_string().c_str());
+  std::exit(1);
+}
+
+/// Writes `text` to `path`, replacing it.
+inline Status write_file(const std::string& path, const std::string& text) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  bool ok = f != nullptr && std::fputs(text.c_str(), f) >= 0;
+  if (f != nullptr && std::fclose(f) != 0) ok = false;
+  return ok ? Status::ok() : unavailable("cannot write " + path);
+}
 
 /// Output directory, created once. Function-local static so concurrent sweep
 /// workers never race on mkdir and repeated calls cost a load, not a stat.
@@ -40,7 +60,7 @@ inline const std::string& out_dir() {
   static const std::string dir = [] {
     const char* env = std::getenv("AGILE_BENCH_OUT");
     std::string d = env != nullptr ? env : "bench_out";
-    metrics::ensure_dir(d);
+    check_output(metrics::ensure_dir(d));
     return d;
   }();
   return dir;
@@ -152,14 +172,7 @@ inline void note(const std::string& text) { std::printf("%s\n", text.c_str()); }
 /// cannot be written, so a compare never reads a stale or missing golden.
 inline void write_golden(const std::string& name, const std::string& golden) {
   std::printf("%s", golden.c_str());
-  const std::string path = out_dir() + "/" + name + "_golden.txt";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  bool ok = f != nullptr && std::fputs(golden.c_str(), f) >= 0;
-  if (f != nullptr && std::fclose(f) != 0) ok = false;
-  if (!ok) {
-    std::fprintf(stderr, "cannot write golden file '%s'\n", path.c_str());
-    std::exit(1);
-  }
+  check_output(write_file(out_dir() + "/" + name + "_golden.txt", golden));
 }
 
 /// Timing footer; every bench prints this last.
@@ -167,9 +180,10 @@ inline void write_golden(const std::string& name, const std::string& golden) {
 /// 14.1M events/s`.
 /// When `name` is non-empty, the same numbers are mirrored machine-readably
 /// to `<out_dir>/BENCH_<name>.json` so CI can diff sweep throughput across
-/// commits without scraping stdout. `extra_json` lets a bench append its own
-/// result fields to that file: complete `"key": value` lines, two-space
-/// indented, no leading or trailing comma.
+/// commits without scraping stdout; the file also records the process's
+/// peak resident memory (`peak_rss_mib`, from `ru_maxrss`). `extra_json`
+/// lets a bench append its own result fields to that file: complete
+/// `"key": value` lines, two-space indented, no leading or trailing comma.
 inline void footer(const std::string& name = "",
                    const std::string& extra_json = "") {
   const SweepStats& s = sweep_stats();
@@ -196,28 +210,32 @@ inline void footer(const std::string& name = "",
                 static_cast<unsigned long long>(incomplete));
   }
   if (name.empty()) return;
-  std::string path = out_dir() + "/BENCH_" + name + ".json";
-  if (std::FILE* f = std::fopen(path.c_str(), "w")) {
-    std::fprintf(f,
-                 "{\n"
-                 "  \"bench\": \"%s\",\n"
-                 "  \"quick\": %s,\n"
-                 "  \"wall_seconds\": %.3f,\n"
-                 "  \"jobs\": %u,\n"
-                 "  \"runs_executed\": %llu,\n"
-                 "  \"runs_incomplete\": %llu,\n"
-                 "  \"incomplete\": %s,\n"
-                 "  \"sim_events\": %llu,\n"
-                 "  \"events_per_sec\": %.0f",
-                 name.c_str(), quick_mode() ? "true" : "false", wall,
-                 sweep_jobs(), static_cast<unsigned long long>(executed),
-                 static_cast<unsigned long long>(incomplete),
-                 incomplete > 0 ? "true" : "false",
-                 static_cast<unsigned long long>(events), rate);
-    if (!extra_json.empty()) std::fprintf(f, ",\n%s", extra_json.c_str());
-    std::fprintf(f, "\n}\n");
-    std::fclose(f);
-  }
+  struct rusage ru {};
+  getrusage(RUSAGE_SELF, &ru);
+  // ru_maxrss counts KiB on Linux.
+  const double peak_rss_mib = static_cast<double>(ru.ru_maxrss) / 1024.0;
+  char head[1024];
+  std::snprintf(head, sizeof(head),
+                "{\n"
+                "  \"bench\": \"%s\",\n"
+                "  \"quick\": %s,\n"
+                "  \"wall_seconds\": %.3f,\n"
+                "  \"jobs\": %u,\n"
+                "  \"runs_executed\": %llu,\n"
+                "  \"runs_incomplete\": %llu,\n"
+                "  \"incomplete\": %s,\n"
+                "  \"sim_events\": %llu,\n"
+                "  \"events_per_sec\": %.0f,\n"
+                "  \"peak_rss_mib\": %.1f",
+                name.c_str(), quick_mode() ? "true" : "false", wall,
+                sweep_jobs(), static_cast<unsigned long long>(executed),
+                static_cast<unsigned long long>(incomplete),
+                incomplete > 0 ? "true" : "false",
+                static_cast<unsigned long long>(events), rate, peak_rss_mib);
+  std::string json = head;
+  if (!extra_json.empty()) json += ",\n" + extra_json;
+  json += "\n}\n";
+  check_output(write_file(out_dir() + "/BENCH_" + name + ".json", json));
 }
 
 }  // namespace agile::bench

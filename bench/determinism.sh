@@ -21,10 +21,16 @@
 #       order, with the same first <keys> columns (a parenthesised unit
 #       aside, so "YCSB/Redis (ops/s)" keys the same row as "YCSB/Redis").
 #
+#   determinism.sh unwritable <dir> <bench binary>
+#       Runs the bench once, in quick mode, with AGILE_BENCH_OUT under a
+#       regular file (<dir>/file/out), so no output can be written. Passes
+#       only when the bench exits non-zero and names that path on stderr.
+#
 #   determinism.sh self-test
 #       Proves that compare fails on a one-byte change, a missing golden and
 #       missing stats files, that view fails on a missing view, a missing
-#       row and a changed key, and that both pass on matching outputs.
+#       row and a changed key, that unwritable fails on a bench that exits 0
+#       or does not name the path, and that each passes on good outputs.
 set -euo pipefail
 
 run() {
@@ -80,6 +86,27 @@ view() {
     return 1
   fi
   echo "view: $csv has a row for each of the $(($(wc -l < "$dir/$primary") - 1)) rows of $primary"
+}
+
+unwritable() {
+  local dir=$1 bin=$2 err status=0
+  rm -rf "$dir"
+  mkdir -p "$dir"
+  : > "$dir/file"
+  local out=$dir/file/out
+  err=$(env -u AGILE_STATS -u AGILE_TRACE AGILE_BENCH_QUICK=1 \
+      AGILE_BENCH_JOBS=1 AGILE_SIM_LANES=1 AGILE_AUDIT=0 \
+      AGILE_BENCH_OUT="$out" "$bin" 2>&1 > /dev/null) || status=$?
+  if [ "$status" = 0 ]; then
+    echo "unwritable: $bin exited 0 with AGILE_BENCH_OUT=$out" >&2
+    return 1
+  fi
+  if ! grep -qF "$out" <<< "$err"; then
+    echo "unwritable: $bin exited $status without naming $out:" >&2
+    printf '%s\n' "$err" >&2
+    return 1
+  fi
+  echo "unwritable: $bin exited $status and named $out"
 }
 
 self_test() {
@@ -138,6 +165,18 @@ self_test() {
   reset
   sed -i 's/^1.0,busy,/1.0,idle,/' "$tmp/cfg/v.csv"
   expect fail "view row with another key" -- rows
+  fake() {  # fake <name> <exit status> <stderr text>: a stand-in bench
+    printf '#!/usr/bin/env bash\necho "%s" >&2\nexit %s\n' "$3" "$2" \
+        > "$tmp/$1"
+    chmod +x "$tmp/$1"
+  }
+  fake names 1 'cannot write $AGILE_BENCH_OUT/x.csv'
+  fake green 0 'cannot write $AGILE_BENCH_OUT/x.csv'
+  fake silent 1 'cannot write'
+  expect pass "unwritable output named on a failing exit" -- \
+      unwritable "$tmp/u" "$tmp/names"
+  expect fail "unwritable output and exit 0" -- unwritable "$tmp/u" "$tmp/green"
+  expect fail "unwritable output not named" -- unwritable "$tmp/u" "$tmp/silent"
 }
 
 cmd=${1:-}
@@ -146,9 +185,10 @@ case "$cmd" in
   run) run "$@" ;;
   compare) compare "$@" ;;
   view) view "$@" ;;
+  unwritable) unwritable "$@" ;;
   self-test) self_test ;;
   *)
-    echo "usage: $0 run|compare|view|self-test ..." >&2
+    echo "usage: $0 run|compare|view|unwritable|self-test ..." >&2
     exit 2
     ;;
 esac

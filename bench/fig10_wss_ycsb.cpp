@@ -52,7 +52,8 @@ int main() {
   table.add_row({"worst 1 s dip (ops/s)", metrics::Table::num(worst, 0)});
   std::printf("\n%s\n", table.to_string().c_str());
 
-  metrics::write_series_csv(bench::out_dir() + "/fig10_wss_ycsb.csv", {&tput});
+  bench::check_output(metrics::write_series_csv(
+      bench::out_dir() + "/fig10_wss_ycsb.csv", {&tput}));
   bench::note("Expected shape: throughput near baseline with brief dips right "
               "after reservation shrinks; quick recovery each time.");
   bench::footer("fig10_wss_ycsb");

@@ -93,8 +93,8 @@ int main() {
                    metrics::Table::num(
                        static_cast<double>(r.migration.downtime) / 1000.0, 0),
                    r.recovery_s < 0 ? "n/a" : metrics::Table::num(r.recovery_s, 0)});
-    metrics::write_series_csv(dir + "/" + row.fig + "_" + row.label + ".csv",
-                              {&r.avg});
+    bench::check_output(metrics::write_series_csv(
+        dir + "/" + row.fig + "_" + row.label + ".csv", {&r.avg}));
     // Paper-style timeline: one row per 10 s.
     std::printf("\n%s (%s) timeline, ops/s every 20 s:\n", row.fig, row.label);
     for (double t = 0; t <= horizon; t += quick ? 10 : 20) {

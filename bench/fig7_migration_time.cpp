@@ -119,13 +119,15 @@ int main() {
 
   std::printf("\nFigure 7: total migration time vs VM size\n%s\n",
               fig7.to_string().c_str());
-  fig7.write_csv(bench::out_dir() + "/fig7_migration_time.csv");
+  bench::check_output(
+      fig7.write_csv(bench::out_dir() + "/fig7_migration_time.csv"));
   bench::note("Expected shape: baselines grow with VM size (busy >> idle past "
               "host RAM); Agile flat once the VM exceeds host memory.");
 
   std::printf("\nFigure 8: data transferred vs VM size\n%s\n",
               fig8.to_string().c_str());
-  fig8.write_csv(bench::out_dir() + "/fig8_data_transferred.csv");
+  bench::check_output(
+      fig8.write_csv(bench::out_dir() + "/fig8_data_transferred.csv"));
   bench::note("Expected shape: baselines linear in VM size; Agile constant at "
               "~= the host-resident share once the VM exceeds host memory.");
   bench::footer("fig7_migration_time");

@@ -50,7 +50,8 @@ int main() {
   std::printf("\n%s\n", table.to_string().c_str());
 
   std::string dir = bench::out_dir();
-  metrics::write_series_csv(dir + "/fig9_wss_tracking.csv", {&res, &rate});
+  bench::check_output(
+      metrics::write_series_csv(dir + "/fig9_wss_tracking.csv", {&res, &rate}));
   bench::note("Expected shape: reservation decays from the 5 GB initial value "
               "to just above the ~1.7 GB working set, then holds.");
   bench::footer("fig9_wss_tracking");

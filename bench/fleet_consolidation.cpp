@@ -156,7 +156,8 @@ int main() {
                    metrics::Table::num(to_mib(r.wire_bytes), 0)});
   }
   std::printf("\n%s\n", table.to_string().c_str());
-  table.write_csv(bench::out_dir() + "/fleet_consolidation.csv");
+  bench::check_output(
+      table.write_csv(bench::out_dir() + "/fleet_consolidation.csv"));
 
   std::string golden;
   for (const FleetRun& r : runs) golden += r.golden;

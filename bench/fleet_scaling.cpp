@@ -150,7 +150,7 @@ int main() {
     }
   }
   std::printf("\n%s\n", table.to_string().c_str());
-  table.write_csv(bench::out_dir() + "/fleet_scaling.csv");
+  bench::check_output(table.write_csv(bench::out_dir() + "/fleet_scaling.csv"));
 
   const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
   bench::note("Expected: identical digests down each host column (lanes are "

@@ -210,7 +210,8 @@ int main() {
                    metrics::Table::num(r.core_peak_util * 100, 1)});
   }
   std::printf("\n%s\n", table.to_string().c_str());
-  table.write_csv(bench::out_dir() + "/fleet_topology.csv");
+  bench::check_output(
+      table.write_csv(bench::out_dir() + "/fleet_topology.csv"));
 
   std::string golden;
   for (const TopoRun& r : runs) golden += r.golden;

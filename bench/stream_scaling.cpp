@@ -134,7 +134,8 @@ int main() {
     golden += line;
   }
   std::printf("\n%s\n", table.to_string().c_str());
-  table.write_csv(bench::out_dir() + "/stream_scaling.csv");
+  bench::check_output(
+      table.write_csv(bench::out_dir() + "/stream_scaling.csv"));
   bench::write_golden("stream_scaling", golden);
 
   // Headline number: on the fat pipe, how much faster is 4 streams than 1

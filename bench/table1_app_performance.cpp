@@ -144,18 +144,21 @@ int main() {
   std::printf("\nTable I: average application performance during migration\n"
               "%s\n",
               table1.to_string().c_str());
-  table1.write_csv(bench::out_dir() + "/table1_app_performance.csv");
+  bench::check_output(
+      table1.write_csv(bench::out_dir() + "/table1_app_performance.csv"));
   bench::note("Expected ordering: agile > post-copy > pre-copy on both rows.");
 
   std::printf("\nTable II: total migration time (s)\n%s\n",
               table2.to_string().c_str());
-  table2.write_csv(bench::out_dir() + "/table2_migration_time.csv");
+  bench::check_output(
+      table2.write_csv(bench::out_dir() + "/table2_migration_time.csv"));
   bench::note("Expected ordering: agile fastest; pre-copy slowest (~4x agile "
               "on YCSB in the paper).");
 
   std::printf("\nTable III: amount of data transferred (MB)\n%s\n",
               table3.to_string().c_str());
-  table3.write_csv(bench::out_dir() + "/table3_data_transferred.csv");
+  bench::check_output(
+      table3.write_csv(bench::out_dir() + "/table3_data_transferred.csv"));
   bench::note("Expected ordering: pre-copy most (retransmits), agile least "
               "(cold pages never cross the wire).");
   bench::footer("table1_app_performance");

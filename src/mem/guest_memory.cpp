@@ -7,7 +7,6 @@
 namespace agile::mem {
 
 namespace {
-constexpr std::uint32_t kNoPos = static_cast<std::uint32_t>(-1);
 constexpr SimTime kMinorFaultCost = 1;  // µs: zero-fill allocation
 }  // namespace
 
@@ -28,11 +27,10 @@ GuestMemory::GuestMemory(const GuestMemoryConfig& config,
   zero_tracking_ = zero_threshold_ > 0;
   state_.assign(page_count_, static_cast<std::uint8_t>(PageState::kUntouched));
   slot_.assign(page_count_, swap::kNoSlot);
-  swap_copy_clean_.reset(page_count_, false);
   touched_.reset(page_count_, false);
   swapped_.reset(page_count_, false);
   zero_.reset(page_count_, false);
-  page_lru_.assign(page_count_, PageLru{kNoPos, 0});
+  lru_word_.assign(page_count_, 0);
   resident_.reserve(std::min<std::uint64_t>(page_count_, reservation_pages_ + 1));
   if (audit::enabled()) deep_audit();
 }
@@ -63,9 +61,8 @@ SimTime GuestMemory::touch_slow(PageIndex p, bool write, std::uint32_t tick) {
       }
       latency = swap_->read_page(slot_[p]);
       swapped_.clear(p);
+      // The swap slot keeps a clean copy (swap cache semantics).
       make_resident(p, tick);
-      // The swap slot now caches a clean copy (swap cache semantics).
-      swap_copy_clean_.set(p);
       break;
     }
     case PageState::kRemote:
@@ -78,7 +75,6 @@ SimTime GuestMemory::touch_slow(PageIndex p, bool write, std::uint32_t tick) {
       // Contents diverge from the swap copy; drop the swap-cache entry.
       swap_->free_slot(slot_[p]);
       slot_[p] = swap::kNoSlot;
-      swap_copy_clean_.clear(p);
     }
     if (dirty_log_ != nullptr) dirty_log_->set(p);
   }
@@ -122,8 +118,7 @@ SimTime GuestMemory::swap_in_for_transfer(PageIndex p, std::uint32_t tick,
   SimTime latency = sequential ? swap_->read_page_sequential(slot_[p])
                                : swap_->read_page(slot_[p]);
   swapped_.clear(p);
-  make_resident(p, tick);
-  swap_copy_clean_.set(p);  // read-only: swap copy stays valid
+  make_resident(p, tick);  // read-only: the swap copy stays valid
   return latency;
 }
 
@@ -135,7 +130,6 @@ void GuestMemory::release_page(PageIndex p) {
       if (slot_[p] != swap::kNoSlot) {
         swap_->free_slot(slot_[p]);
         slot_[p] = swap::kNoSlot;
-        swap_copy_clean_.clear(p);
       }
       break;
     case PageState::kUntouched:
@@ -180,7 +174,6 @@ void GuestMemory::install_swapped(PageIndex p, swap::SwapSlot s) {
   ++stats_.remote_installs;
   state_[p] = static_cast<std::uint8_t>(PageState::kSwapped);
   slot_[p] = s;
-  swap_copy_clean_.set(p);
   swapped_.set(p);
   touched_.set(p);
 }
@@ -233,7 +226,6 @@ void GuestMemory::receive_overwrite(PageIndex p, std::uint32_t tick) {
     // The incoming copy supersedes the swap copy.
     swap_->free_slot(slot_[p]);
     slot_[p] = swap::kNoSlot;
-    swap_copy_clean_.clear(p);
   }
 }
 
@@ -262,7 +254,6 @@ void GuestMemory::invalidate_to_remote(PageIndex p, bool free_slot) {
   if (slot_[p] != swap::kNoSlot) {
     if (free_slot) swap_->free_slot(slot_[p]);
     slot_[p] = swap::kNoSlot;
-    swap_copy_clean_.clear(p);
   }
   if (zero_tracking_) zero_.clear(p);
   state_[p] = static_cast<std::uint8_t>(PageState::kRemote);
@@ -289,7 +280,6 @@ void GuestMemory::teardown(bool free_slots) {
       if (free_slots && slot_[p] != swap::kNoSlot) {
         swap_->free_slot(slot_[p]);
         slot_[p] = swap::kNoSlot;
-        swap_copy_clean_.clear(p);
       }
     }
   }
@@ -307,22 +297,21 @@ void GuestMemory::make_resident(PageIndex p, std::uint32_t tick) {
   while (resident_.size() >= reservation_pages_) evict_one();
   state_[p] = static_cast<std::uint8_t>(PageState::kResident);
   touched_.set(p);
-  page_lru_[p] = PageLru{static_cast<std::uint32_t>(resident_.size()), tick};
+  lru_word_[p] = static_cast<std::uint32_t>(resident_.size());
   resident_.push_back(ResidentEntry{static_cast<std::uint32_t>(p), tick});
 }
 
 void GuestMemory::remove_from_resident(PageIndex p) {
-  std::uint32_t pos = page_lru_[p].pos;
-  AGILE_CHECK(pos != kNoPos);
+  AGILE_CHECK(static_cast<PageState>(state_[p]) == PageState::kResident);
+  const std::uint32_t pos = lru_word_[p];
   AGILE_DCHECK_EQ(resident_[pos].page, p)
-      << "packed LRU position of page " << p << " names another page";
-  AGILE_DCHECK_EQ(resident_[pos].stamp, page_lru_[p].stamp)
-      << "stamp copies diverge for page " << p;
+      << "LRU word of page " << p << " names another resident entry";
+  const std::uint32_t stamp = resident_[pos].stamp;
   ResidentEntry last = resident_.back();
   resident_[pos] = last;
-  page_lru_[last.page].pos = pos;
+  lru_word_[last.page] = pos;
   resident_.pop_back();
-  page_lru_[p].pos = kNoPos;
+  lru_word_[p] = stamp;  // the word holds the stamp again
 }
 
 PageIndex GuestMemory::pick_victim() {
@@ -348,12 +337,11 @@ void GuestMemory::evict_page(PageIndex p) {
   AGILE_CHECK(state(p) == PageState::kResident);
   AGILE_DCHECK(!swapped_.test(p)) << "resident page " << p << " in swapped bitmap";
   remove_from_resident(p);
-  if (slot_[p] != swap::kNoSlot && swap_copy_clean_.test(p)) {
+  if (slot_[p] != swap::kNoSlot) {
     ++stats_.clean_drops;  // swap copy still valid; no I/O
   } else {
-    if (slot_[p] == swap::kNoSlot) slot_[p] = swap_->allocate_slot();
+    slot_[p] = swap_->allocate_slot();
     swap_->write_page(slot_[p]);  // write-behind
-    swap_copy_clean_.set(p);
     ++stats_.swap_outs;
   }
   state_[p] = static_cast<std::uint8_t>(PageState::kSwapped);
@@ -374,30 +362,30 @@ std::uint64_t GuestMemory::true_working_set_pages(
   for (Bitmap::Run run = touched_.next_set_run(0); !run.empty();
        run = touched_.next_set_run(run.end)) {
     for (PageIndex p = run.begin; p < run.end; ++p) {
-      if (now_tick - page_lru_[p].stamp <= window_ticks) ++count;
+      const std::uint32_t stamp =
+          static_cast<PageState>(state_[p]) == PageState::kResident
+              ? resident_[lru_word_[p]].stamp
+              : lru_word_[p];
+      if (now_tick - stamp <= window_ticks) ++count;
     }
   }
   return count;
 }
 
 void GuestMemory::deep_audit() const {
-  // Reverse direction of the packed-LRU cross-audit: every resident-vector
-  // entry must name a resident page whose page_lru_ record points back at
-  // this position with an identical stamp copy.
+  // Reverse direction of the LRU-word cross-audit: every resident-vector
+  // entry must name a resident page whose LRU word points back at it.
   for (std::uint32_t i = 0; i < resident_.size(); ++i) {
     const ResidentEntry& e = resident_[i];
     AGILE_CHECK_S(e.page < page_count_) << "resident entry " << i << " out of range";
     AGILE_CHECK_S(state(e.page) == PageState::kResident)
         << "resident entry " << i << " names non-resident page " << e.page;
-    AGILE_CHECK_S(page_lru_[e.page].pos == i)
-        << "page " << e.page << " lru pos " << page_lru_[e.page].pos
+    AGILE_CHECK_S(lru_word_[e.page] == i)
+        << "page " << e.page << " LRU word " << lru_word_[e.page]
         << " does not point back at resident slot " << i;
-    AGILE_CHECK_S(page_lru_[e.page].stamp == e.stamp)
-        << "stamp copies diverge for page " << e.page;
   }
   touched_.deep_audit();
   swapped_.deep_audit();
-  swap_copy_clean_.deep_audit();
   zero_.deep_audit();
   if (!zero_tracking_) {
     AGILE_CHECK_S(zero_.none())
@@ -410,27 +398,22 @@ void GuestMemory::deep_audit() const {
     switch (st) {
       case PageState::kResident:
         ++resident;
-        AGILE_CHECK(page_lru_[p].pos != kNoPos);
-        AGILE_CHECK(resident_[page_lru_[p].pos].page == p);
-        AGILE_CHECK(resident_[page_lru_[p].pos].stamp == page_lru_[p].stamp);
+        AGILE_CHECK(lru_word_[p] < resident_.size());
+        AGILE_CHECK(resident_[lru_word_[p]].page == p);
         break;
       case PageState::kSwapped:
         ++swapped;
         AGILE_CHECK(slot_[p] != swap::kNoSlot);
-        AGILE_CHECK(page_lru_[p].pos == kNoPos);
         break;
       case PageState::kUntouched:
         AGILE_CHECK(slot_[p] == swap::kNoSlot);
-        AGILE_CHECK(page_lru_[p].pos == kNoPos);
         break;
       case PageState::kRemote:
         ++remote;
-        AGILE_CHECK(page_lru_[p].pos == kNoPos);
         break;
     }
     AGILE_CHECK(touched_.test(p) == (st != PageState::kUntouched));
     AGILE_CHECK(swapped_.test(p) == (st == PageState::kSwapped));
-    if (swap_copy_clean_.test(p)) AGILE_CHECK(slot_[p] != swap::kNoSlot);
     if (zero_.test(p)) {
       // A zero mark asserts "this memory holds an all-zero copy": only pages
       // with a local copy qualify.

@@ -252,7 +252,6 @@ class GuestMemory {
       if (zero_tracking_) zero_.clear(p);  // copy now lives at the dest
     }
     slot_[p] = swap::kNoSlot;
-    swap_copy_clean_.clear(p);
   }
 
   const MemStats& stats() const { return stats_; }
@@ -267,14 +266,14 @@ class GuestMemory {
 
   /// Ground-truth working set: pages accessed in the last `window_ticks`
   /// relative to `now_tick`. Word-scans the touched bitmap, so idle VMs with
-  /// mostly-untouched memory pay O(touched), not O(page_count). Used by the
-  /// WSS benches, not by any simulated component.
+  /// mostly-untouched memory pay O(touched), not O(page_count). Only tests
+  /// call it today; no simulated component and no bench reads it.
   std::uint64_t true_working_set_pages(std::uint32_t now_tick,
                                        std::uint32_t window_ticks) const;
 
   /// Deep auditor (O(page_count)): internal counters match the per-page
-  /// state array, the packed LRU `{pos, stamp}` table and the resident
-  /// vector cross-reference each other exactly (both directions), and the
+  /// state array, every resident page's LRU word and the resident vector
+  /// cross-reference each other exactly (both directions), and the
   /// touched/swapped bitmaps agree with the pagemap view bit for bit.
   /// Aborts on violation. Runs automatically at structural boundaries (and
   /// decimated during migrations) when `audit::enabled()`.
@@ -295,15 +294,14 @@ class GuestMemory {
   /// stale swap copy.
   SimTime touch_slow(PageIndex p, bool write, std::uint32_t tick);
 
-  /// Updates a resident page's LRU stamp in both places it lives: the
-  /// per-page table and the packed resident entry (see ResidentEntry).
+  /// Updates a resident page's LRU stamp, whose one copy lives in its
+  /// packed resident entry (see ResidentEntry and lru_word_).
   void stamp_access(PageIndex p, std::uint32_t tick) {
-    PageLru& lru = page_lru_[p];
-    AGILE_DCHECK_LT(lru.pos, resident_.size()) << "stamping non-resident page " << p;
-    AGILE_DCHECK_EQ(resident_[lru.pos].page, p)
-        << "packed LRU position of page " << p << " points at another page";
-    lru.stamp = tick;
-    resident_[lru.pos].stamp = tick;
+    const std::uint32_t pos = lru_word_[p];
+    AGILE_DCHECK_LT(pos, resident_.size()) << "stamping non-resident page " << p;
+    AGILE_DCHECK_EQ(resident_[pos].page, p)
+        << "LRU word of page " << p << " points at another resident entry";
+    resident_[pos].stamp = tick;
   }
 
   /// Decimated deep audit for migration-path mutators: every
@@ -321,11 +319,12 @@ class GuestMemory {
   Rng rng_;
 
   std::vector<std::uint8_t> state_;
+  /// Swap slot holding a current copy of the page, or kNoSlot (a write to a
+  /// resident page frees its slot, so a slot always means a clean copy).
   std::vector<swap::SwapSlot> slot_;
-  Bitmap swap_copy_clean_;  ///< Swap slot holds current contents.
 
-  // Resident-set index for O(1) sampling and removal. Each entry carries a
-  // copy of the page's LRU stamp (kept in sync with page_lru_) so the
+  // Resident-set index for O(1) sampling and removal. Each entry holds the
+  // page's LRU stamp, its only copy while the page is resident, so the
   // sampled-eviction loop reads one random cache line per sample instead of
   // chasing the page index through a second cold table; at paper scale both
   // tables are far larger than cache and eviction sampling dominates the
@@ -336,14 +335,11 @@ class GuestMemory {
   };
   std::vector<ResidentEntry> resident_;  ///< packed resident table
 
-  /// Per-page LRU bookkeeping, packed so the touch fast path reads and
-  /// writes a single cache line: the page's position in resident_ (kNoPos
-  /// when not resident) next to its last-access stamp.
-  struct PageLru {
-    std::uint32_t pos;
-    std::uint32_t stamp;
-  };
-  std::vector<PageLru> page_lru_;
+  /// Per-page LRU word, 4 B a page. While the page is resident (state_ says
+  /// which) it holds the page's position in resident_, whose entry holds the
+  /// stamp; otherwise it holds the page's last-access stamp (0 if never
+  /// stamped), moved back from the entry when the page left resident_.
+  std::vector<std::uint32_t> lru_word_;
 
   /// Pages that ever left kUntouched (equivalently: state != kUntouched).
   /// Word-scanning this keeps teardown and WSS probes O(touched) even on

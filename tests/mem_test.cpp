@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "mem/guest_memory.hpp"
 #include "mem/pagemap.hpp"
@@ -251,6 +252,49 @@ TEST(GuestMemory, TrueWorkingSetCountsRecentPages) {
   for (PageIndex p = 100; p < 300; ++p) mem.touch(p, false, 95);
   EXPECT_EQ(mem.true_working_set_pages(100, 10), 200u);
   EXPECT_EQ(mem.true_working_set_pages(100, 90), 300u);
+}
+
+TEST(GuestMemory, TrueWorkingSetKeepsStampsOfPagesThatLeftResidency) {
+  // Three tick groups of 16 pages through a 16-page reservation: most pages
+  // leave the resident table (eviction, release_page, invalidate_to_remote)
+  // and a few swap back in. Every page keeps its last-access stamp.
+  Fixture fx;
+  GuestMemory mem = fx.make(256_KiB, 64_KiB);  // 64 pages, 16 resident
+  for (PageIndex p = 0; p < 16; ++p) mem.touch(p, /*write=*/true, 1000);
+  for (PageIndex p = 16; p < 32; ++p) mem.touch(p, /*write=*/false, 2000);
+  for (PageIndex p = 32; p < 48; ++p) mem.touch(p, /*write=*/true, 3000);
+  EXPECT_EQ(mem.resident_pages(), 16u);
+  EXPECT_EQ(mem.swapped_pages(), 32u);
+
+  std::vector<PageIndex> resident, swapped;
+  for (PageIndex p = 0; p < 48; ++p) {
+    (mem.is_resident(p) ? resident : swapped).push_back(p);
+  }
+  mem.release_page(resident[0]);
+  mem.release_page(swapped[0]);
+  mem.invalidate_to_remote(resident[1], /*free_slot=*/true);
+  mem.invalidate_to_remote(swapped[1], /*free_slot=*/true);
+  EXPECT_EQ(mem.remote_pages(), 4u);
+
+  // Four still-swapped pages of the oldest group fault back in; each swap-in
+  // evicts another page.
+  std::uint64_t swapped_in = 0;
+  for (PageIndex p = 0; p < 16 && swapped_in < 4; ++p) {
+    if (!mem.is_swapped(p)) continue;
+    mem.touch(p, /*write=*/false, 4000);
+    ++swapped_in;
+  }
+  ASSERT_EQ(swapped_in, 4u);
+  EXPECT_EQ(mem.stats().major_faults, 4u);
+
+  EXPECT_EQ(mem.true_working_set_pages(4000, 0), 4u);
+  EXPECT_EQ(mem.true_working_set_pages(4000, 999), 4u);
+  EXPECT_EQ(mem.true_working_set_pages(4000, 1000), 20u);
+  EXPECT_EQ(mem.true_working_set_pages(4000, 2000), 36u);
+  EXPECT_EQ(mem.true_working_set_pages(4000, 2999), 36u);
+  EXPECT_EQ(mem.true_working_set_pages(4000, 3000), 48u);
+  EXPECT_EQ(mem.true_working_set_pages(4000, 4000), 48u);  // untouched: never
+  mem.check_consistency();
 }
 
 TEST(GuestMemory, SwapDeviceStatsSeeTraffic) {

@@ -8,9 +8,10 @@ Usage:
 
 Every bench binary writes a `BENCH_<name>.json` footer into its output
 directory (see bench/bench_common.hpp): bench name, quick/full mode, wall
-seconds, job count, runs executed, total simulated events and the headline
-`events_per_sec` throughput. A single footer is a point; this tool makes
-them a line:
+seconds, job count, runs executed, total simulated events, the headline
+`events_per_sec` throughput and the process's peak resident memory
+`peak_rss_mib` (older footers lack it). A single footer is a point; this
+tool makes them a line:
 
   `collect` scans OUT_DIR for BENCH_*.json files and appends one entry per
   footer to TRAJECTORY.json (creating it on first use), tagging each entry
@@ -28,6 +29,9 @@ them a line:
       IMPROVED    faster than median by more than the threshold
       NEW         first entry for this series, nothing to compare
 
+  Each verdict line also shows the newest entry's peak RSS when its footer
+  recorded one.
+
 Exit status: 0 on success — including REGRESSED verdicts; the tool reports,
 the reader decides (sim throughput varies across machines, so a hard gate
 belongs in CI config, not here). 2 on usage or parse errors.
@@ -44,6 +48,7 @@ DEFAULT_THRESHOLD_PCT = 10.0
 FOOTER_FIELDS = (
     "bench", "quick", "wall_seconds", "jobs", "runs_executed",
     "runs_incomplete", "incomplete", "sim_events", "events_per_sec",
+    "peak_rss_mib",
 )
 
 
@@ -106,18 +111,19 @@ def median(values):
 
 
 def verdicts(doc, threshold_pct=DEFAULT_THRESHOLD_PCT):
-    """[(series_label, verdict, latest, baseline_median, delta_pct)] in
-    first-seen series order; latest entry per series vs the median of its
-    predecessors."""
+    """[(series_label, verdict, latest, baseline_median, delta_pct,
+    latest_peak_rss_mib or None)] in first-seen series order; latest entry
+    per series vs the median of its predecessors."""
     by_series = {}
     for entry in doc["entries"]:
         by_series.setdefault(series_key(entry), []).append(entry)
     out = []
     for key, entries in by_series.items():
         latest = entries[-1]["events_per_sec"]
+        rss = entries[-1].get("peak_rss_mib")
         prior = [e["events_per_sec"] for e in entries[:-1]]
         if not prior:
-            out.append((series_label(key), "NEW", latest, None, None))
+            out.append((series_label(key), "NEW", latest, None, None, rss))
             continue
         base = median(prior)
         delta_pct = 0.0 if base == 0 else 100.0 * (latest - base) / base
@@ -127,7 +133,7 @@ def verdicts(doc, threshold_pct=DEFAULT_THRESHOLD_PCT):
             verdict = "IMPROVED"
         else:
             verdict = "OK"
-        out.append((series_label(key), verdict, latest, base, delta_pct))
+        out.append((series_label(key), verdict, latest, base, delta_pct, rss))
     return out
 
 
@@ -138,16 +144,20 @@ def print_report(doc, threshold_pct):
         return
     print(f"{len(doc['entries'])} entr(y/ies), {len(rows)} series, "
           f"threshold {threshold_pct:g}%")
-    for label, verdict, latest, base, delta_pct in rows:
+    for label, verdict, latest, base, delta_pct, rss in rows:
+        rate = f"{latest} events/s"
+        if rss is not None:
+            rate += f", peak RSS {rss} MiB"
         if verdict == "NEW":
-            print(f"  NEW        {label}: {latest} events/s "
-                  f"(first entry, no baseline)")
+            print(f"  NEW        {label}: {rate} (first entry, no baseline)")
         else:
-            print(f"  {verdict:<10} {label}: {latest} events/s vs "
-                  f"median {base:.0f} ({delta_pct:+.1f}%)")
+            print(f"  {verdict:<10} {label}: {rate} vs "
+                  f"median {base:.0f} events/s ({delta_pct:+.1f}%)")
 
 
 def self_test():
+    import contextlib
+    import io
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -155,11 +165,13 @@ def self_test():
         os.mkdir(out_dir)
         traj = os.path.join(tmp, "trajectory.json")
 
-        def write_footer(bench, eps, quick=True, jobs=1):
+        def write_footer(bench, eps, quick=True, jobs=1, rss=None):
             footer = {"bench": bench, "quick": quick, "wall_seconds": 1.0,
                       "jobs": jobs, "runs_executed": 4,
                       "runs_incomplete": 0, "incomplete": False,
                       "sim_events": 1000, "events_per_sec": eps}
+            if rss is not None:
+                footer["peak_rss_mib"] = rss
             with open(os.path.join(out_dir, f"BENCH_{bench}.json"), "w",
                       encoding="utf-8") as f:
                 json.dump(footer, f)
@@ -200,10 +212,29 @@ def self_test():
         jobs4 = [r for r in rows if "jobs=4" in r[0]]
         assert len(jobs4) == 1 and jobs4[0][1] == "NEW", rows
 
+        # Peak RSS: a footer that records it carries it into the trajectory
+        # and the report; an older footer without it reports rate alone.
+        write_footer("fig7", 9100, jobs=4, rss=123.4)
+        write_footer("fleet", 2010)
+        collect(out_dir, traj, label="r6")
+        doc = load_trajectory(traj)
+        assert doc["entries"][-2]["bench"] == "fig7", doc["entries"][-2]
+        assert doc["entries"][-2]["peak_rss_mib"] == 123.4, doc["entries"][-2]
+        assert "peak_rss_mib" not in doc["entries"][-1], doc["entries"][-1]
+        report = io.StringIO()
+        with contextlib.redirect_stdout(report):
+            print_report(doc, DEFAULT_THRESHOLD_PCT)
+        lines = report.getvalue().splitlines()
+        fig7 = [l for l in lines if "fig7 [quick, jobs=4]" in l]
+        fleet = [l for l in lines if "fleet [quick, jobs=1]" in l]
+        assert len(fig7) == 1 and \
+            "9100 events/s, peak RSS 123.4 MiB vs" in fig7[0], lines
+        assert len(fleet) == 1 and "peak RSS" not in fleet[0], lines
+
         # Labels and run indices persist in the trajectory.
         doc = load_trajectory(traj)
         assert doc["entries"][0]["label"] == "r1"
-        assert doc["entries"][-1]["run"] == 5, doc["entries"][-1]
+        assert doc["entries"][-1]["run"] == 6, doc["entries"][-1]
 
         # A non-footer JSON is a parse error, not a silent skip.
         with open(os.path.join(out_dir, "BENCH_bogus.json"), "w",
